@@ -63,4 +63,4 @@ from .oracle import (
     sample_iid,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

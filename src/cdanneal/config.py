@@ -15,10 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernel import flip_tables
 from .learner import Schedule
 from .model import FiniteExpFamily, ParamBox, family_from_json
 
-__all__ = ["ConfigError", "RunConfig", "default_config"]
+__all__ = ["MAX_GRID_POINTS", "ConfigError", "RunConfig", "default_config"]
+
+# Largest parameter grid (grid_per_axis ** dim points) a config may ask for.
+# The grid is allocated whole and the constants, constraint suprema and bias
+# checks each sweep every point, so the budget bounds memory and time before
+# anything is built.
+MAX_GRID_POINTS = 2**16
 
 
 class ConfigError(ValueError):
@@ -55,6 +62,10 @@ class RunConfig:
     def validate(self) -> None:
         fam = self.build_family()
         try:
+            flip_tables(fam)
+        except ValueError as exc:
+            raise ConfigError(f"model cannot be sampled by random-scan Gibbs: {exc}") from exc
+        try:
             box = ParamBox(half_width=float(self.half_width), dim=fam.dim)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -81,6 +92,11 @@ class RunConfig:
             raise ConfigError("seeds must be distinct")
         if int(self.grid_per_axis) < 2:
             raise ConfigError("grid_per_axis must be at least 2")
+        if int(self.grid_per_axis) ** fam.dim > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"grid_per_axis ** dim = {self.grid_per_axis} ** {fam.dim} exceeds "
+                f"the budget of {MAX_GRID_POINTS} grid points"
+            )
         if not 0.0 < float(self.tail_fraction) <= 1.0:
             raise ConfigError("tail_fraction must lie in (0, 1]")
         if self.theta_init is not None:

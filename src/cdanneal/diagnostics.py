@@ -18,10 +18,11 @@ from .learner import Trajectory
 from .model import (
     FiniteExpFamily,
     ParamBox,
+    _data_indices,
     boundary_layer_contains,
     mean_parameter,
 )
-from .oracle import SampleChecks, TheoryConstants, empirical_stat_mean, _items
+from .oracle import SampleChecks, TheoryConstants, empirical_stat_mean
 
 __all__ = [
     "BiasCheck",
@@ -57,7 +58,7 @@ def _moment_rows(fam: FiniteExpFamily, theta, m: int) -> tuple[np.ndarray, np.nd
 
 def exact_expected_cd_gradient(fam: FiniteExpFamily, theta, data, m: int) -> np.ndarray:
     """Conditional mean of the CD-m gradient given theta and the data."""
-    items = _items(fam, data)
+    items = _data_indices(fam, data)
     rows, _ = _moment_rows(fam, theta, m)
     weights = np.bincount(items, minlength=fam.n_states) / items.size
     return empirical_stat_mean(fam, items) - weights @ rows
@@ -70,7 +71,7 @@ def cd_conditional_moments(fam: FiniteExpFamily, theta, data, m: int) -> tuple[n
     given theta, so the gradient covariance is the per-datum endpoint
     covariance summed and divided by n squared.
     """
-    items = _items(fam, data)
+    items = _data_indices(fam, data)
     counts = np.bincount(items, minlength=fam.n_states)
     n = items.size
     rows, sq_rows = _moment_rows(fam, theta, m)
@@ -111,7 +112,7 @@ class BiasCheck:
 
 def _bias_lhs(fam: FiniteExpFamily, theta, data, m: int) -> float:
     """Norm of the conditional CD-gradient bias relative to the exact gradient."""
-    items = _items(fam, data)
+    items = _data_indices(fam, data)
     rows, _ = _moment_rows(fam, theta, m)
     weights = np.bincount(items, minlength=fam.n_states) / items.size
     return float(np.linalg.norm(mean_parameter(fam, theta) - weights @ rows))
@@ -175,7 +176,7 @@ def bias_bound_grid(
     if not checks.passed:
         raise HypothesesUnmetError("sample failed its quality constraints; bound does not apply")
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    items = _items(fam, data)
+    items = _data_indices(fam, data)
     weights = np.bincount(items, minlength=fam.n_states) / items.size
     if stat_table is None:
         stat_table = m_step_stat_table(fam, thetas, constants.m)
@@ -232,7 +233,7 @@ def drift_report(
     """
     if traj.m != constants.m:
         raise ValueError("trajectory and constants disagree on the chain length m")
-    items = _items(fam, data)
+    items = _data_indices(fam, data)
     center = checks.mle.theta
     steps = traj.steps
     h = np.linalg.norm(traj.thetas[:steps] - center, axis=1)
@@ -327,7 +328,7 @@ def martingale_report(
         raise HypothesesUnmetError("drift coefficient not positive; ball undefined")
     if traj.m != constants.m:
         raise ValueError("trajectory and constants disagree on the chain length m")
-    items = _items(fam, data)
+    items = _data_indices(fam, data)
     center = checks.mle.theta
     steps = traj.steps
     h = np.linalg.norm(traj.thetas - center, axis=1)

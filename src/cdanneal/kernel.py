@@ -19,7 +19,6 @@ __all__ = [
     "KernelMatrix",
     "ZetaEstimate",
     "build_gibbs_random_scan",
-    "conditional_one_probs",
     "estimate_zeta",
     "flip_tables",
     "kernel_distance",
@@ -43,18 +42,32 @@ class KernelMatrix:
         return self.probs.shape[0]
 
 
-_FLIP_CACHE: "weakref.WeakKeyDictionary[FiniteExpFamily, tuple[np.ndarray, np.ndarray]]" = (
+class _GibbsTables:
+    """Index tables of the single-site moves on {0,1}^p, built once per family.
+
+    ``up[s, j]``/``down[s, j]`` are the states s with coordinate j set to
+    1/0.  The flat arrays list the 2p moves out of every state in (s, j,
+    up/down) order: ``target`` is where the move lands, ``other`` the state
+    that differs from it in coordinate j only, and ``scatter`` the flat
+    position s * n_states + target of the move in the transition matrix.
+    """
+
+    def __init__(self, up: np.ndarray, down: np.ndarray):
+        n = up.shape[0]
+        self.up = up
+        self.down = down
+        self.target = np.stack([up, down], axis=2).reshape(-1)
+        self.other = np.stack([down, up], axis=2).reshape(-1)
+        self.scatter = np.repeat(np.arange(n) * n, 2 * up.shape[1]) + self.target
+
+
+_TABLE_CACHE: "weakref.WeakKeyDictionary[FiniteExpFamily, _GibbsTables]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def flip_tables(fam: FiniteExpFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables (up, down) with up[s, j] the state s with coordinate j set to 1.
-
-    Requires the state space to be the full binary product {0,1}^p; anything
-    else cannot be resampled coordinate-wise and raises.
-    """
-    cached = _FLIP_CACHE.get(fam)
+def _gibbs_tables(fam: FiniteExpFamily) -> _GibbsTables:
+    cached = _TABLE_CACHE.get(fam)
     if cached is not None:
         return cached
     states = fam.states
@@ -73,37 +86,39 @@ def flip_tables(fam: FiniteExpFamily) -> tuple[np.ndarray, np.ndarray]:
             up[s, j] = index[tuple(key)]
             key[j] = 0
             down[s, j] = index[tuple(key)]
-    _FLIP_CACHE[fam] = (up, down)
-    return up, down
+    tables = _GibbsTables(up, down)
+    _TABLE_CACHE[fam] = tables
+    return tables
 
 
-def conditional_one_probs(fam: FiniteExpFamily, theta) -> np.ndarray:
-    """P(coordinate j = 1 | rest of state s), shape (n_states, p)."""
-    theta = _check_theta(fam, theta)
-    up, down = flip_tables(fam)
-    scores = fam.log_carrier + fam.suff_stats @ theta
-    gap = scores[up] - scores[down]
-    out = np.empty_like(gap)
-    pos = gap >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-gap[pos]))
-    expg = np.exp(gap[~pos])
-    out[~pos] = expg / (1.0 + expg)
-    return out
+def flip_tables(fam: FiniteExpFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables (up, down) with up[s, j] the state s with coordinate j set to 1.
+
+    Requires the state space to be the full binary product {0,1}^p; anything
+    else cannot be resampled coordinate-wise and raises ValueError.
+    """
+    tables = _gibbs_tables(fam)
+    return tables.up, tables.down
 
 
 def build_gibbs_random_scan(fam: FiniteExpFamily, theta) -> KernelMatrix:
-    """One step of random-scan Gibbs: average of the p single-site kernels."""
+    """One step of random-scan Gibbs: average of the p single-site kernels.
+
+    A move out of s that sets coordinate j to the value of state y has
+    probability sigmoid(score(y) - score(y')) / p, with y' the state that
+    differs from y in coordinate j only.  The sigmoid is evaluated as
+    exp(min(g, 0)) / (1 + exp(-|g|)), which never overflows and keeps full
+    relative precision for move probabilities near 0.  Up and down targets
+    can coincide with the source state, so the 2p moves of each row are
+    summed by one scatter.
+    """
     theta = _check_theta(fam, theta)
-    up, down = flip_tables(fam)
-    p1 = conditional_one_probs(fam, theta)
-    p = fam.n_coords
+    tables = _gibbs_tables(fam)
     n = fam.n_states
-    probs = np.zeros((n, n))
-    rows = np.arange(n)
-    for j in range(p):
-        # up/down targets can coincide with the source state, so accumulate.
-        np.add.at(probs, (rows, up[:, j]), p1[:, j] / p)
-        np.add.at(probs, (rows, down[:, j]), (1.0 - p1[:, j]) / p)
+    scores = fam.log_carrier + fam.suff_stats @ theta
+    gap = scores[tables.target] - scores[tables.other]
+    moves = np.exp(np.minimum(gap, 0.0)) / (1.0 + np.exp(-np.abs(gap))) / fam.n_coords
+    probs = np.bincount(tables.scatter, weights=moves, minlength=n * n).reshape(n, n)
     return KernelMatrix(theta=theta, probs=probs)
 
 
@@ -195,24 +210,20 @@ def estimate_zeta(fam: FiniteExpFamily, thetas, pairs=None) -> ZetaEstimate:
     return ZetaEstimate(zeta=best, max_pair_distance=max_dist, n_pairs=used)
 
 
-def m_step_stat_rows(
-    fam: FiniteExpFamily, theta, m: int, kernel_builder=build_gibbs_random_scan
-) -> np.ndarray:
+def m_step_stat_rows(fam: FiniteExpFamily, theta, m: int) -> np.ndarray:
     """Expected sufficient statistic after m steps from each start state.
 
     Row x holds the exact integral of phi against the m-step transition law
     out of x, i.e. (K^m @ suff_stats)[x].
     """
-    kernel = kernel_power(kernel_builder(fam, theta), m)
+    kernel = kernel_power(build_gibbs_random_scan(fam, theta), m)
     return kernel.probs @ fam.suff_stats
 
 
-def m_step_stat_table(
-    fam: FiniteExpFamily, thetas, m: int, kernel_builder=build_gibbs_random_scan
-) -> np.ndarray:
+def m_step_stat_table(fam: FiniteExpFamily, thetas, m: int) -> np.ndarray:
     """Stacked :func:`m_step_stat_rows` over a parameter grid, shape (G, S, d)."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    return np.stack([m_step_stat_rows(fam, t, m, kernel_builder) for t in thetas])
+    return np.stack([m_step_stat_rows(fam, t, m) for t in thetas])
 
 
 def kernel_to_csv(fam: FiniteExpFamily, kernel: KernelMatrix, path) -> None:

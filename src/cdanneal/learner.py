@@ -1,23 +1,30 @@
 """Contrastive-divergence updates with annealed step sizes.
 
-The update freezes inside a shrinking layer along the parameter-box
-boundary, which keeps every iterate feasible because a single step of the
-bounded gradient cannot jump across the layer.  Randomness is counter
-based: each (master seed, replicate, iteration) triple keys its own Philox
-stream, so replicates are independent and any run is reproducible
-step by step.
+Each update starts one Gibbs chain at every datum and runs it m steps at
+the current parameter.  Given that parameter the chains are independent,
+so the endpoint counts are a sum of multinomial draws, one per occupied
+start state s with the rows K^m[s] of the m-step kernel as probabilities;
+the learner builds K^m once per update and draws all endpoints in one
+call.  The update freezes inside a shrinking layer along the
+parameter-box boundary, which keeps every iterate feasible because a
+single step of the bounded gradient cannot jump across the layer.
+Randomness is counter based: each (master seed, replicate, iteration)
+triple keys its own Philox stream, so replicates are independent and any
+run is reproducible step by step.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import build_gibbs_random_scan
+from .kernel import build_gibbs_random_scan, kernel_power
 from .model import (
     FiniteExpFamily,
     ParamBox,
+    _data_indices,
     boundary_layer_contains,
     mean_parameter,
 )
@@ -144,31 +151,36 @@ class Trajectory:
         return self.weighted_avgs[t - self.burn_in]
 
 
-def _data_indices(fam: FiniteExpFamily, data) -> np.ndarray:
-    items = np.asarray(getattr(data, "items", data))
-    if items.ndim != 1 or items.size == 0:
-        raise ValueError("data must be a non-empty 1-d array of state indices")
-    if not np.issubdtype(items.dtype, np.integer):
-        raise ValueError("data must contain state indices")
-    if items.min() < 0 or items.max() >= fam.n_states:
-        raise ValueError("datum outside the state space")
-    return items.astype(np.int64)
+def _cd_endpoints(
+    fam: FiniteExpFamily, theta: np.ndarray, start: np.ndarray, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Endpoint counts of m-step chains started with ``start[s]`` chains at each state s.
 
-
-def advance_counts(counts: np.ndarray, probs: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Push a per-state occupancy vector through m single kernel steps.
-
-    Chains are exchangeable, so splitting each state's occupants with a
-    multinomial draw per step reproduces the joint law of independently
-    simulated chains while costing O(states) per step instead of O(chains).
+    ``Generator.multinomial`` broadcasts over the occupied rows of K^m, so
+    the draw is one call whatever n and m are.  ``kernel_power`` rejects an
+    m that is not an integer >= 1.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    for _ in range(m):
-        new = np.zeros_like(counts)
-        for s in np.flatnonzero(counts):
-            new += rng.multinomial(int(counts[s]), probs[s])
-        counts = new
-    return counts
+    km = kernel_power(build_gibbs_random_scan(fam, theta), m).probs
+    occupied = np.flatnonzero(start)
+    return rng.multinomial(start[occupied], km[occupied]).sum(axis=0)
+
+
+def _guarded_update(
+    fam: FiniteExpFamily,
+    box: ParamBox,
+    theta: np.ndarray,
+    eta: float,
+    start: np.ndarray,
+    m: int,
+    stat_bound: float,
+    make_rng,
+) -> tuple[np.ndarray, bool]:
+    """The guarded CD-m update on validated inputs; ``make_rng`` runs only if not frozen."""
+    if boundary_layer_contains(box, theta, eta, stat_bound, fam.dim):
+        return theta, True
+    end = _cd_endpoints(fam, theta, start, m, make_rng())
+    grad = (start - end) @ fam.suff_stats / start.sum()
+    return theta + eta * grad, False
 
 
 def cd_gradient(
@@ -177,7 +189,6 @@ def cd_gradient(
     data,
     m: int,
     rng: np.random.Generator,
-    kernel_builder=build_gibbs_random_scan,
 ) -> np.ndarray:
     """One draw of the CD-m gradient estimate.
 
@@ -186,14 +197,10 @@ def cd_gradient(
     empirical statistic mean of the data and of the chain endpoints.  Its
     norm never exceeds 2 * sqrt(dim) * stat_bound.
     """
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-        raise ValueError("m must be an integer >= 1")
     items = _data_indices(fam, data)
     start = np.bincount(items, minlength=fam.n_states)
-    kernel = kernel_builder(fam, theta)
-    end = advance_counts(start, kernel.probs, m, rng)
-    n = items.size
-    return (start - end) @ fam.suff_stats / n
+    end = _cd_endpoints(fam, theta, start, m, rng)
+    return (start - end) @ fam.suff_stats / items.size
 
 
 def cd_step(
@@ -204,14 +211,11 @@ def cd_step(
     data,
     m: int,
     rng: np.random.Generator,
-    kernel_builder=build_gibbs_random_scan,
 ) -> tuple[np.ndarray, bool]:
     """Guarded update: freeze inside the boundary layer, else step along CD-m."""
+    start = np.bincount(_data_indices(fam, data), minlength=fam.n_states)
     theta = np.asarray(theta, dtype=float)
-    if boundary_layer_contains(box, theta, eta, fam.stat_bound, fam.dim):
-        return theta, True
-    grad = cd_gradient(fam, theta, data, m, rng, kernel_builder=kernel_builder)
-    return theta + eta * grad, False
+    return _guarded_update(fam, box, theta, eta, start, m, fam.stat_bound, lambda: rng)
 
 
 def run_cd(
@@ -226,14 +230,19 @@ def run_cd(
     replicate: int = 0,
     theta_init=None,
     data_id: str = "",
-    kernel_builder=build_gibbs_random_scan,
 ) -> Trajectory:
-    """Run CD-m for a fixed number of guarded updates."""
+    """Run CD-m for a fixed number of guarded updates.
+
+    Inputs are validated once; a step the guard freezes draws no
+    randomness, and every other step t draws from its own counter stream.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not 0 <= burn_in <= steps:
         raise ValueError("burn_in must lie in [0, steps]")
     items = _data_indices(fam, data)
+    start = np.bincount(items, minlength=fam.n_states)
+    stat_bound = fam.stat_bound
     theta = np.zeros(fam.dim) if theta_init is None else np.asarray(theta_init, dtype=float)
     if not box.contains(theta):
         raise ValueError("initial theta outside the parameter box")
@@ -241,16 +250,22 @@ def run_cd(
     hits = np.empty(steps + 1, dtype=bool)
     thetas[0] = theta
     for t in range(steps):
-        rng = counter_rng(master_seed, replicate, t, RNG_STREAM_CD)
-        theta, hit = cd_step(
-            fam, box, theta, schedule.rate(t), items, m, rng, kernel_builder=kernel_builder
+        theta, hit = _guarded_update(
+            fam,
+            box,
+            theta,
+            schedule.rate(t),
+            start,
+            m,
+            stat_bound,
+            functools.partial(counter_rng, master_seed, replicate, t, RNG_STREAM_CD),
         )
         if not box.contains(theta):
             raise RuntimeError("guarded update left the parameter box")
         thetas[t + 1] = theta
         hits[t] = hit
     hits[steps] = boundary_layer_contains(
-        box, thetas[steps], schedule.rate(steps), fam.stat_bound, fam.dim
+        box, thetas[steps], schedule.rate(steps), stat_bound, fam.dim
     )
     etas = schedule.rates(steps + 1)
     return Trajectory(

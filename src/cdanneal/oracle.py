@@ -21,6 +21,7 @@ from .kernel import (
 from .model import (
     FiniteExpFamily,
     ParamBox,
+    _data_indices,
     fisher_info,
     lattice_neighbor_pairs,
     log_partition,
@@ -87,17 +88,8 @@ def sample_iid(fam: FiniteExpFamily, theta_star, n: int, seed) -> DataSample:
     return DataSample(items=items, theta_star=np.asarray(theta_star, dtype=float), seed=seed)
 
 
-def _items(fam: FiniteExpFamily, data) -> np.ndarray:
-    items = np.asarray(getattr(data, "items", data), dtype=np.int64)
-    if items.ndim != 1 or items.size == 0:
-        raise ValueError("data must be a non-empty 1-d index array")
-    if items.min() < 0 or items.max() >= fam.n_states:
-        raise ValueError("datum outside the state space")
-    return items
-
-
 def empirical_stat_mean(fam: FiniteExpFamily, data) -> np.ndarray:
-    items = _items(fam, data)
+    items = _data_indices(fam, data)
     return np.bincount(items, minlength=fam.n_states) @ fam.suff_stats / items.size
 
 
@@ -201,7 +193,7 @@ def check_constraint_mle(
 ) -> ConstraintCheck:
     """Check sqrt(n) * |mle - theta_star| < n**gamma."""
     _validate_gamma(gamma)
-    items = _items(fam, data)
+    items = _data_indices(fam, data)
     result = mle_result if mle_result is not None else mle(fam, items, box)
     n = items.size
     statistic = math.sqrt(n) * float(
@@ -229,7 +221,7 @@ def check_constraint_empirical_process(
     rows; the sup of sqrt(n) times their gap must stay below n**gamma.
     """
     _validate_gamma(gamma)
-    items = _items(fam, data)
+    items = _data_indices(fam, data)
     theta_grid = np.atleast_2d(np.asarray(theta_grid, dtype=float))
     if theta_grid.size == 0:
         raise ValueError("theta grid is empty")

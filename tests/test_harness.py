@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cdanneal.cli as cli
-from cdanneal.config import ConfigError, RunConfig, default_config
+from cdanneal.config import MAX_GRID_POINTS, ConfigError, RunConfig, default_config
 from cdanneal.harness import (
     DiagnoseResult,
     diagnose_run,
@@ -17,6 +17,13 @@ from cdanneal.harness import (
     verify_assumptions,
 )
 from cdanneal.learner import Schedule
+
+
+# Three states on one coordinate: enumerable, but not {0,1}^p, so random-scan
+# Gibbs cannot resample it.
+THREE_STATE_MODEL = {"states": [[0], [1], [2]], "phi": [[0], [1], [2]]}
+# FVBM p = 4 has dim 10, so 9 points per axis would be 9**10 (about 3.5e9).
+HUGE_GRID = {"model": {"type": "fvbm", "p": 4}, "theta_star": [0.0] * 10, "grid_per_axis": 9}
 
 
 def small_config(**overrides) -> RunConfig:
@@ -94,6 +101,21 @@ class TestRunConfig:
         doc["schedule"] = {"kind": "power", "eta0": 1.0, "exponent": 0.4}
         with pytest.raises(ConfigError):
             RunConfig.from_dict(doc)
+
+    def test_model_gibbs_cannot_sample_rejected(self):
+        with pytest.raises(ConfigError, match="Gibbs"):
+            small_config(model=THREE_STATE_MODEL, theta_star=[0.3])
+
+    def test_grid_over_budget_rejected(self):
+        with pytest.raises(ConfigError, match="budget"):
+            small_config(**HUGE_GRID)
+
+    def test_grid_budget_is_inclusive(self):
+        # dim 1, so grid_per_axis is the point count; no grid is built
+        fvbm1 = {"model": {"type": "fvbm", "p": 1}, "theta_star": [0.3]}
+        small_config(**fvbm1, grid_per_axis=MAX_GRID_POINTS)
+        with pytest.raises(ConfigError, match="budget"):
+            small_config(**fvbm1, grid_per_axis=MAX_GRID_POINTS + 1)
 
     def test_generic_model_document(self):
         config = RunConfig(
@@ -304,6 +326,16 @@ class TestCli:
         notjson = tmp_path / "notjson.json"
         notjson.write_text("{oops")
         assert cli.main(["verify", "--config", str(notjson), "--out", str(tmp_path / "o2")]) == 2
+
+    @pytest.mark.parametrize("overrides", [{"model": THREE_STATE_MODEL, "theta_star": [0.3]}, HUGE_GRID])
+    def test_unrunnable_config_exits_two_without_traceback(self, tmp_path, capsys, overrides):
+        doc = dict(small_config().to_dict(), **overrides)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
 
     def test_failing_checks_exit_three(self, tmp_path, monkeypatch):
         monkeypatch.setattr(

@@ -1,6 +1,7 @@
 """Transition-matrix construction, mixing and kernel-distance checks."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cdanneal.kernel import (
     KernelMatrix,
     build_gibbs_random_scan,
     estimate_zeta,
+    flip_tables,
     kernel_distance,
     kernel_power,
     kernel_to_csv,
@@ -20,6 +22,7 @@ from cdanneal.kernel import (
 from cdanneal.model import (
     FiniteExpFamily,
     ParamBox,
+    build_fvbm,
     family_from_json,
     lattice_neighbor_pairs,
     state_probs,
@@ -28,7 +31,52 @@ from cdanneal.model import (
 RNG = np.random.default_rng(42)
 
 
+def _per_site_kernel(fam, theta):
+    """Reference construction: masked logistic, then one np.add.at per coordinate."""
+    theta = np.asarray(theta, dtype=float)
+    up, down = flip_tables(fam)
+    scores = fam.log_carrier + fam.suff_stats @ theta
+    gap = scores[up] - scores[down]
+    p1 = np.empty_like(gap)
+    pos = gap >= 0
+    p1[pos] = 1.0 / (1.0 + np.exp(-gap[pos]))
+    expg = np.exp(gap[~pos])
+    p1[~pos] = expg / (1.0 + expg)
+    p, n = fam.n_coords, fam.n_states
+    probs = np.zeros((n, n))
+    rows = np.arange(n)
+    for j in range(p):
+        np.add.at(probs, (rows, up[:, j]), p1[:, j] / p)
+        np.add.at(probs, (rows, down[:, j]), (1.0 - p1[:, j]) / p)
+    return probs
+
+
 class TestGibbsConstruction:
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_matches_per_site_reference(self, p):
+        fam = build_fvbm(p)
+        rng = np.random.default_rng(100 + p)
+        thetas = list(rng.uniform(-3, 3, size=(5, fam.dim)))
+        thetas += [
+            np.full(fam.dim, 30.0),
+            np.full(fam.dim, -30.0),
+            30.0 * np.resize([1.0, -1.0], fam.dim),
+        ]
+        for theta in thetas:
+            probs = build_gibbs_random_scan(fam, theta).probs
+            assert np.all(np.isfinite(probs))
+            np.testing.assert_allclose(probs, _per_site_kernel(fam, theta), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("theta", [30.0, -30.0])
+    def test_small_tail_keeps_relative_precision(self, fvbm1, theta):
+        # p = 1: K[0, 1] = sigmoid(theta) and K[1, 0] = sigmoid(-theta); one
+        # of them is about 1e-13 and must still be right to the last digits.
+        probs = build_gibbs_random_scan(fvbm1, [theta]).probs
+        tail = math.exp(-30.0) / (1.0 + math.exp(-30.0))
+        small = probs[0, 1] if theta < 0 else probs[1, 0]
+        assert small == pytest.approx(tail, rel=1e-14, abs=0.0)
+
     def test_uniform_row_from_origin(self, fvbm2):
         kernel = build_gibbs_random_scan(fvbm2, [0.0, 0.0, 0.0])
         np.testing.assert_allclose(kernel.probs[0], [0.5, 0.25, 0.25, 0.0], atol=1e-15)

@@ -1,5 +1,6 @@
 """Schedule, gradient-estimate and guarded-iteration checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdanneal.diagnostics import cd_conditional_moments
-from cdanneal.kernel import m_step_stat_rows
+from cdanneal.kernel import build_gibbs_random_scan, kernel_power, m_step_stat_rows
 from cdanneal.learner import (
     Schedule,
     Trajectory,
+    _cd_endpoints,
     cd_gradient,
     cd_step,
     counter_rng,
@@ -150,6 +152,63 @@ class TestCdGradient:
     def test_datum_outside_state_space_rejected(self, fvbm2):
         with pytest.raises(ValueError):
             cd_gradient(fvbm2, np.zeros(3), np.array([4]), 1, counter_rng(0, 0, 0, 1))
+
+
+def _enumerated_m_step_law(fam, theta, m):
+    """K^m by enumerating every length-m path of (coordinate, new value) moves.
+
+    Independent of the kernel module: each move's probability comes from
+    raw state weights, 1/p for the coordinate times its conditional.
+    """
+    p = fam.n_coords
+    index = {tuple(row): i for i, row in enumerate(fam.states.tolist())}
+    weights = np.exp(fam.log_carrier + fam.suff_stats @ theta)
+    law = np.zeros((fam.n_states, fam.n_states))
+    moves = list(itertools.product(range(p), (0, 1)))
+    for s, row in enumerate(fam.states.tolist()):
+        for path in itertools.product(moves, repeat=m):
+            state, prob = list(row), 1.0
+            for j, b in path:
+                low, high = list(state), list(state)
+                low[j], high[j] = 0, 1
+                w0, w1 = weights[index[tuple(low)]], weights[index[tuple(high)]]
+                prob *= (w1 if b else w0) / (w0 + w1) / p
+                state[j] = b
+            law[s, index[tuple(state)]] += prob
+    return law
+
+
+class TestCdEndpoints:
+    DRAWS = 8000
+    # Every sample mean below must sit within Z standard errors of its exact
+    # value; with the fixed counter seeds the test is deterministic.
+    Z = 5.0
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_endpoint_counts_match_enumerated_law(self, fvbm2, m):
+        theta = np.array([0.4, -0.7, 1.1])
+        start = np.array([3, 0, 2, 1])  # n = 6, one empty start state
+        km = _enumerated_m_step_law(fvbm2, theta, m)
+        np.testing.assert_allclose(
+            kernel_power(build_gibbs_random_scan(fvbm2, theta), m).probs, km, rtol=0, atol=1e-14
+        )
+        mean = start @ km
+        cov = sum(c * (np.diag(row) - np.outer(row, row)) for c, row in zip(start, km))
+        draws = np.stack(
+            [
+                _cd_endpoints(fvbm2, theta, start, m, counter_rng(21, m, t, 1))
+                for t in range(self.DRAWS)
+            ]
+        ).astype(float)
+        assert np.all(draws.sum(axis=1) == start.sum())
+
+        se_mean = np.sqrt(np.diag(cov) / self.DRAWS)
+        assert np.all(np.abs(draws.mean(axis=0) - mean) <= self.Z * se_mean + 1e-12)
+
+        centered = draws - mean
+        products = centered[:, :, None] * centered[:, None, :]
+        se_cov = products.std(axis=0, ddof=1) / math.sqrt(self.DRAWS)
+        assert np.all(np.abs(products.mean(axis=0) - cov) <= self.Z * se_cov + 1e-12)
 
 
 class TestCdStep:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cdanneal.kernel import kernel_power, build_gibbs_random_scan
+from cdanneal.learner import cd_gradient, counter_rng
 from cdanneal.model import ParamBox, state_probs
 from cdanneal.oracle import (
     MleNonexistenceError,
@@ -23,6 +24,24 @@ from cdanneal.oracle import (
 )
 
 GAMMAS = [0.05, 0.25, 0.45]
+
+
+class TestDataIndices:
+    @pytest.mark.parametrize(
+        "data",
+        [np.array([0.0, 1.0]), np.array([[0, 1]]), np.array([], dtype=np.int64), [4], [-1]],
+    )
+    def test_learner_and_oracle_reject_the_same_samples(self, fvbm2, data):
+        with pytest.raises(ValueError):
+            empirical_stat_mean(fvbm2, data)
+        with pytest.raises(ValueError):
+            cd_gradient(fvbm2, np.zeros(3), data, 1, counter_rng(0, 0, 0, 1))
+
+    def test_sample_object_and_index_list_agree(self, fvbm2, theta_star):
+        data = sample_iid(fvbm2, theta_star, 50, seed=4)
+        np.testing.assert_array_equal(
+            empirical_stat_mean(fvbm2, data), empirical_stat_mean(fvbm2, data.items.tolist())
+        )
 
 
 class TestSampleIid:
