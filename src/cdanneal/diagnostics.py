@@ -36,6 +36,7 @@ __all__ = [
     "cd_conditional_moments",
     "check_bias_bound",
     "drift_report",
+    "envelope_coverage",
     "exact_expected_cd_gradient",
     "expected_sq_distance_after_step",
     "martingale_report",
@@ -444,6 +445,13 @@ class RateFit:
         return self.slope < -0.05
 
 
+def envelope_coverage(values, bound: float) -> float:
+    """Fraction of ``values`` under ``bound``; nan when the bound is not finite."""
+    if not math.isfinite(bound):
+        return math.nan
+    return float(np.mean(np.asarray(values) < bound))
+
+
 def rate_fit(
     deltas_by_n: dict[int, "np.ndarray | list[float]"],
     rate_coeffs: dict[int, float] | None = None,
@@ -454,7 +462,8 @@ def rate_fit(
     Requires at least three distinct sizes with at least ten replicates
     each.  When per-size rate coefficients and gamma are supplied, the
     fraction of replicates under the theoretical envelope is reported per
-    size and overall.
+    size and overall; a size whose envelope is infinite covers nan and is
+    left out of the overall fraction (nan when no envelope is finite).
     """
     if len(deltas_by_n) < 3:
         raise ValueError("need at least 3 distinct sample sizes")
@@ -474,10 +483,11 @@ def rate_fit(
         covered = total = 0
         for n, g in zip(sizes, groups):
             bound = rate_coeffs[int(n)] * float(n) ** (-(1.0 - 2.0 * gamma) / 3.0)
-            per_size[int(n)] = float(np.mean(g < bound))
-            covered += int(np.sum(g < bound))
-            total += g.size
-        coverage = {"per_size": per_size, "overall": covered / total}
+            per_size[int(n)] = envelope_coverage(g, bound)
+            if math.isfinite(bound):
+                covered += int(np.sum(g < bound))
+                total += g.size
+        coverage = {"per_size": per_size, "overall": covered / total if total else math.nan}
     return RateFit(
         sizes=sizes,
         medians=medians,

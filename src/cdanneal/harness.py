@@ -3,9 +3,12 @@
 A run is a grid of cells (sample size, chain steps, replicate seed).  Each
 cell samples data, runs the guarded CD iteration, measures the tail error
 of the weighted average and, when requested, re-verifies the per-step
-drift, super-martingale and bias bounds exactly.  All outputs are plain
-CSV and JSON written with round-trip float formatting, so a rerun with the
-same configuration and master seed is byte identical.
+drift, super-martingale and bias bounds exactly.  ``run`` and ``diagnose``
+share one pipeline: ``_prepare_cells`` builds every cell's inputs from the
+configuration and ``evaluate_cell`` checks a trajectory, whether it was
+just computed or read back from disk.  All outputs are plain CSV and JSON
+written with round-trip float formatting, so a rerun with the same
+configuration and master seed is byte identical.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .diagnostics import (
     OccupancyReport,
     bias_bound_grid,
     drift_report,
+    envelope_coverage,
     martingale_report,
     occupancy_report,
     rate_fit,
@@ -54,10 +58,12 @@ from .oracle import (
 )
 
 __all__ = [
+    "CellOutcome",
     "DiagnoseResult",
     "ExperimentResult",
     "RateSweepResult",
     "diagnose_run",
+    "evaluate_cell",
     "rate_sweep",
     "run_experiment",
     "verify_assumptions",
@@ -71,10 +77,6 @@ OCCUPANCY_TOL = 0.05
 # ----------------------------------------------------------------------
 # deterministic formatting
 # ----------------------------------------------------------------------
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
 
 
 def _json_text(obj) -> str:
@@ -99,6 +101,21 @@ def _scrub(value):
     return value
 
 
+def _column(values):
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        return map(repr, values.tolist())
+    if values.dtype.kind in "biu":
+        return map(str, values.astype(np.int64).tolist())
+    return map(str, values.tolist())
+
+
+def _csv(header: list[str], columns) -> str:
+    """CSV of equal-length columns: floats as repr(float), ints and bools as str(int)."""
+    rows = zip(*[_column(c) for c in columns])
+    return "\n".join([",".join(header), *(",".join(row) for row in rows)]) + "\n"
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -106,7 +123,7 @@ def _write(path: Path, text: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# cell execution
+# the cell pipeline
 # ----------------------------------------------------------------------
 
 
@@ -129,13 +146,17 @@ class CellTask:
     constants: TheoryConstants
     checks: SampleChecks | None
     exact_step_checks: bool
-    grid: np.ndarray | None
-    stat_table: np.ndarray | None
-    mean_table: np.ndarray | None
+    grid: np.ndarray
+    stat_table: np.ndarray
+    mean_table: np.ndarray
 
     @property
     def label(self) -> str:
         return f"n{self.n}_m{self.m}_s{self.replicate}"
+
+    @property
+    def data_id(self) -> str:
+        return f"n{self.n}-ms{self.master_seed}-r{self.replicate}"
 
 
 @dataclass
@@ -153,6 +174,116 @@ class CellOutcome:
     mle_exists: bool
 
 
+def _constants_table(config: RunConfig, fam, box, bounds) -> dict:
+    return {
+        (int(n), int(m)): assemble_constants(fam, box, bounds, int(m), int(n), config.gamma)
+        for n in config.n_values
+        for m in config.m_values
+    }
+
+
+def _prepare_cells(
+    config: RunConfig, master_seed: int, exact_checks: bool
+) -> tuple[list[CellTask], dict]:
+    """Every cell's inputs, in run order, and the (n, m) constants table.
+
+    The grid tables are shared by all cells, the data and its MLE by the
+    cells of one (n, replicate), the sample checks by one cell.
+    """
+    fam = config.build_family()
+    box = config.build_box()
+    theta_star = np.asarray(config.theta_star, dtype=float)
+    theta_init = None if config.theta_init is None else np.asarray(config.theta_init, dtype=float)
+    grid = box.grid(config.grid_per_axis)
+    bounds = compute_grid_bounds(fam, box, theta_star, config.grid_per_axis)
+    mean_table = np.stack([mean_parameter(fam, t) for t in grid])
+    stat_tables = {int(m): m_step_stat_table(fam, grid, int(m)) for m in config.m_values}
+    constants = _constants_table(config, fam, box, bounds)
+
+    tasks = []
+    for n in sorted(int(v) for v in config.n_values):
+        for rep in sorted(int(s) for s in config.seeds):
+            data_seed = [master_seed, rep, n, RNG_STREAM_DATA]
+            data = sample_iid(fam, theta_star, n, seed=data_seed)
+            try:
+                mle_result = mle(fam, data, box)
+            except MleNonexistenceError:
+                mle_result = None
+            for m in sorted(int(v) for v in config.m_values):
+                checks = None
+                if mle_result is not None:
+                    checks = SampleChecks(
+                        mle=mle_result,
+                        mle_check=check_constraint_mle(
+                            fam, data, theta_star, config.gamma, box, mle_result=mle_result
+                        ),
+                        empirical_check=check_constraint_empirical_process(
+                            fam, data, theta_star, m, config.gamma, grid, stat_table=stat_tables[m]
+                        ),
+                        gamma=config.gamma,
+                        m=m,
+                    )
+                tasks.append(
+                    CellTask(
+                        fam=fam,
+                        box=box,
+                        schedule=config.schedule,
+                        items=data.items,
+                        data_seed=data_seed,
+                        n=n,
+                        m=m,
+                        replicate=rep,
+                        master_seed=master_seed,
+                        steps=int(config.iterations),
+                        burn_in=int(config.burn_in),
+                        theta_init=theta_init,
+                        theta_star=theta_star,
+                        tail_fraction=float(config.tail_fraction),
+                        constants=constants[(n, m)],
+                        checks=checks,
+                        exact_step_checks=exact_checks,
+                        grid=grid,
+                        stat_table=stat_tables[m],
+                        mean_table=mean_table,
+                    )
+                )
+    return tasks, constants
+
+
+def evaluate_cell(task: CellTask, traj: Trajectory) -> CellOutcome:
+    """Tail error and, when the task asks for them, the exact per-step checks."""
+    drift = mart = occ = bias = None
+    checks = task.checks
+    if task.exact_step_checks and checks is not None:
+        drift = drift_report(task.fam, task.box, traj, task.items, task.constants, checks)
+        if checks.passed:
+            bias = bias_bound_grid(
+                task.fam,
+                task.items,
+                task.constants,
+                checks,
+                task.grid,
+                stat_table=task.stat_table,
+                mean_table=task.mean_table,
+            )
+        if task.constants.drift_coeff > 0:
+            mart = martingale_report(task.fam, task.box, traj, task.items, task.constants, checks)
+            occ = occupancy_report(traj, task.constants, checks.mle.theta)
+    return CellOutcome(
+        label=task.label,
+        n=task.n,
+        m=task.m,
+        replicate=task.replicate,
+        trajectory=traj,
+        delta=delta_n(traj, task.theta_star, task.tail_fraction),
+        drift=drift,
+        martingale=mart,
+        occupancy=occ,
+        bias=bias,
+        mle_exists=checks is not None,
+    )
+
+
 def _run_cell(task: CellTask) -> CellOutcome:
     traj = run_cd(
         task.fam,
@@ -165,40 +296,9 @@ def _run_cell(task: CellTask) -> CellOutcome:
         master_seed=task.master_seed,
         replicate=task.replicate,
         theta_init=task.theta_init,
-        data_id=f"n{task.n}-ms{task.master_seed}-r{task.replicate}",
+        data_id=task.data_id,
     )
-    delta = delta_n(traj, task.theta_star, task.tail_fraction)
-    drift = mart = occ = bias = None
-    if task.exact_step_checks and task.checks is not None:
-        drift = drift_report(task.fam, task.box, traj, task.items, task.constants, task.checks)
-        if task.checks.passed:
-            bias = bias_bound_grid(
-                task.fam,
-                task.items,
-                task.constants,
-                task.checks,
-                task.grid,
-                stat_table=task.stat_table,
-                mean_table=task.mean_table,
-            )
-        if task.constants.drift_coeff > 0:
-            mart = martingale_report(
-                task.fam, task.box, traj, task.items, task.constants, task.checks
-            )
-            occ = occupancy_report(traj, task.constants, task.checks.mle.theta)
-    return CellOutcome(
-        label=task.label,
-        n=task.n,
-        m=task.m,
-        replicate=task.replicate,
-        trajectory=traj,
-        delta=delta,
-        drift=drift,
-        martingale=mart,
-        occupancy=occ,
-        bias=bias,
-        mle_exists=task.checks is not None,
-    )
+    return evaluate_cell(task, traj)
 
 
 def _map_tasks(tasks: list[CellTask], workers: int) -> list[CellOutcome]:
@@ -214,7 +314,14 @@ def _map_tasks(tasks: list[CellTask], workers: int) -> list[CellOutcome]:
 
 
 def _trajectory_csv(traj: Trajectory, theta_star: np.ndarray, mle_theta) -> str:
-    d = traj.dim
+    d, rows, tail = traj.dim, traj.steps + 1, slice(traj.burn_in, None)
+    avgs = np.full((rows, d), np.nan)
+    avgs[tail] = traj.weighted_avgs
+    dist_to_mle = np.full(rows, np.nan)
+    dist_to_true = np.full(rows, np.nan)
+    if mle_theta is not None:
+        dist_to_mle[tail] = [np.linalg.norm(avg - mle_theta) for avg in traj.weighted_avgs]
+    dist_to_true[tail] = [np.linalg.norm(avg - theta_star) for avg in traj.weighted_avgs]
     header = (
         ["t", "eta_t"]
         + [f"theta_{j + 1}" for j in range(d)]
@@ -222,141 +329,60 @@ def _trajectory_csv(traj: Trajectory, theta_star: np.ndarray, mle_theta) -> str:
         + [f"thetabar_{j + 1}" for j in range(d)]
         + ["dist_to_mle", "dist_to_true"]
     )
-    lines = [",".join(header)]
-    for t in range(traj.steps + 1):
-        row = [str(t), _fmt(traj.etas[t])]
-        row += [_fmt(v) for v in traj.thetas[t]]
-        row.append(str(int(traj.boundary_hits[t])))
-        if t >= traj.burn_in:
-            avg = traj.weighted_avgs[t - traj.burn_in]
-            row += [_fmt(v) for v in avg]
-            row.append(_fmt(np.linalg.norm(avg - mle_theta)) if mle_theta is not None else "nan")
-            row.append(_fmt(np.linalg.norm(avg - theta_star)))
-        else:
-            row += ["nan"] * (d + 2)
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    columns = [np.arange(rows), traj.etas, *traj.thetas.T, traj.boundary_hits, *avgs.T]
+    return _csv(header, columns + [dist_to_mle, dist_to_true])
 
 
-def _drift_csv(report: DriftReport) -> str:
-    lines = ["t,h,lhs,rhs,slack,in_layer,in_ball"]
-    slack = report.slack
-    for i in range(len(report.t)):
-        lines.append(
-            ",".join(
-                [
-                    str(int(report.t[i])),
-                    _fmt(report.h[i]),
-                    _fmt(report.lhs[i]),
-                    _fmt(report.rhs[i]),
-                    _fmt(slack[i]),
-                    str(int(report.in_layer[i])),
-                    str(int(report.in_ball[i])),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _martingale_csv(report: MartingaleReport) -> str:
-    lines = ["t,increment_out,increment_in,active_out,active_in,cond_mean_out,cond_mean_in"]
-    for i in range(len(report.t)):
-        cond_out = report.cond_mean_out[i] if report.cond_mean_out is not None else float("nan")
-        cond_in = report.cond_mean_in[i] if report.cond_mean_in is not None else float("nan")
-        lines.append(
-            ",".join(
-                [
-                    str(int(report.t[i])),
-                    _fmt(report.increment_out[i]),
-                    _fmt(report.increment_in[i]),
-                    str(int(report.active_out[i])),
-                    str(int(report.active_in[i])),
-                    _fmt(cond_out),
-                    _fmt(cond_in),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def _martingale_entry(report: MartingaleReport, which: str) -> dict:
+    cond = getattr(report, f"cond_mean_{which}")
+    active = getattr(report, f"active_{which}")
+    worst = None
+    if cond is not None and bool(np.any(active)):
+        # slack is the negated conditional mean; positive means healthy.
+        worst = float(-np.max(cond[active]))
+    return {
+        "steps": int(np.sum(active)),
+        "violations": getattr(report, f"violations_{which}"),
+        "worst_slack": worst,
+        "hypotheses_met": report.hypotheses_met,
+    }
 
 
 def _diagnostic_entries(outcome: CellOutcome) -> list[dict]:
-    entries = []
-    if outcome.drift is not None:
-        entries.append(
-            {
-                "check": "drift",
-                "steps": len(outcome.drift.t),
-                "violations": outcome.drift.violations,
-                "worst_slack": outcome.drift.worst_slack,
-                "hypotheses_met": outcome.drift.hypotheses_met,
-            }
-        )
-    else:
-        entries.append(
-            {
-                "check": "drift",
-                "steps": 0,
-                "violations": 0,
-                "worst_slack": None,
-                "hypotheses_met": False,
-                "reason": "skipped" if outcome.mle_exists else "mle does not exist",
-            }
-        )
-    if outcome.bias is not None:
-        entries.append(
-            {
-                "check": "bias_bound",
-                "steps": len(outcome.bias.lhs),
-                "violations": outcome.bias.violations,
-                "worst_slack": outcome.bias.worst_slack,
+    """One entry per check; a check that did not run records why."""
+    drift, bias, mart, occ = outcome.drift, outcome.bias, outcome.martingale, outcome.occupancy
+    no_drift = "drift coefficient not positive or skipped"
+    table = [
+        (
+            "drift",
+            "skipped" if outcome.mle_exists else "mle does not exist",
+            None if drift is None else {
+                "steps": len(drift.t),
+                "violations": drift.violations,
+                "worst_slack": drift.worst_slack,
+                "hypotheses_met": drift.hypotheses_met,
+            },
+        ),
+        (
+            "bias_bound",
+            "sample constraints unverified or skipped",
+            None if bias is None else {
+                "steps": len(bias.lhs),
+                "violations": bias.violations,
+                "worst_slack": bias.worst_slack,
                 "hypotheses_met": True,
-            }
-        )
-    else:
-        entries.append(
-            {
-                "check": "bias_bound",
-                "steps": 0,
-                "violations": 0,
-                "worst_slack": None,
-                "hypotheses_met": False,
-                "reason": "sample constraints unverified or skipped",
-            }
-        )
-    for which, label in (("out", "martingale_outside_ball"), ("in", "martingale_inside")):
-        if outcome.martingale is not None:
-            report = outcome.martingale
-            cond = report.cond_mean_out if which == "out" else report.cond_mean_in
-            active = report.active_out if which == "out" else report.active_in
-            worst = None
-            if cond is not None and bool(np.any(active)):
-                # slack is the negated conditional mean; positive means healthy.
-                worst = float(-np.max(cond[active]))
-            entries.append(
-                {
-                    "check": label,
-                    "steps": int(np.sum(active)),
-                    "violations": report.violations_out if which == "out" else report.violations_in,
-                    "worst_slack": worst,
-                    "hypotheses_met": report.hypotheses_met,
-                }
-            )
-        else:
-            entries.append(
-                {
-                    "check": label,
-                    "steps": 0,
-                    "violations": 0,
-                    "worst_slack": None,
-                    "hypotheses_met": False,
-                    "reason": "drift coefficient not positive or skipped",
-                }
-            )
-    if outcome.occupancy is not None:
-        occ = outcome.occupancy
-        entries.append(
-            {
-                "check": "occupancy",
+            },
+        ),
+        (
+            "martingale_outside_ball",
+            no_drift,
+            None if mart is None else _martingale_entry(mart, "out"),
+        ),
+        ("martingale_inside", no_drift, None if mart is None else _martingale_entry(mart, "in")),
+        (
+            "occupancy",
+            no_drift,
+            None if occ is None else {
                 "steps": outcome.trajectory.steps + 1,
                 "violations": 0 if occ.passes(OCCUPANCY_TOL) else 1,
                 "worst_slack": occ.fraction_tail_min - occ.threshold,
@@ -364,19 +390,41 @@ def _diagnostic_entries(outcome: CellOutcome) -> list[dict]:
                 "threshold": occ.threshold,
                 "fraction_full": occ.fraction_full,
                 "fraction_tail_min": occ.fraction_tail_min,
-            }
+            },
+        ),
+    ]
+    skipped = {"steps": 0, "violations": 0, "worst_slack": None, "hypotheses_met": False}
+    return [
+        {"check": check, **(entry if entry is not None else dict(skipped, reason=reason))}
+        for check, reason, entry in table
+    ]
+
+
+def _write_cell_diagnostics(cell_dir: Path, outcome: CellOutcome) -> list[dict]:
+    """Write a cell's diagnostics.json and the per-step CSV of every check that ran."""
+    drift, mart = outcome.drift, outcome.martingale
+    if drift is not None:
+        _write(
+            cell_dir / "drift.csv",
+            _csv(
+                ["t", "h", "lhs", "rhs", "slack", "in_layer", "in_ball"],
+                [drift.t, drift.h, drift.lhs, drift.rhs, drift.slack, drift.in_layer, drift.in_ball],
+            ),
         )
-    else:
-        entries.append(
-            {
-                "check": "occupancy",
-                "steps": 0,
-                "violations": 0,
-                "worst_slack": None,
-                "hypotheses_met": False,
-                "reason": "drift coefficient not positive or skipped",
-            }
+    if mart is not None:
+        missing = np.full(len(mart.t), np.nan)
+        conds = [missing if c is None else c for c in (mart.cond_mean_out, mart.cond_mean_in)]
+        _write(
+            cell_dir / "martingale.csv",
+            _csv(
+                ["t", "increment_out", "increment_in", "active_out", "active_in",
+                 "cond_mean_out", "cond_mean_in"],
+                [mart.t, mart.increment_out, mart.increment_in, mart.active_out, mart.active_in,
+                 *conds],
+            ),
         )
+    entries = _diagnostic_entries(outcome)
+    _write(cell_dir / "diagnostics.json", _json_text(_scrub(entries)))
     return entries
 
 
@@ -408,31 +456,28 @@ def _meta_dict(config: RunConfig, master_seed: int, task: CellTask, outcome: Cel
             np.sum(outcome.trajectory.boundary_hits[outcome.delta.window_start :])
         ),
         "constants": task.constants.to_dict(),
+        "mle": None,
+        "sample_checks": None,
     }
-    if checks is None:
-        meta["mle"] = None
-        meta["sample_checks"] = None
-    else:
+    if checks is not None:
         meta["mle"] = {
             "theta": [float(v) for v in checks.mle.theta],
             "residual": checks.mle.residual,
             "clipped": checks.mle.clipped,
         }
         meta["sample_checks"] = {
-            "mle_constraint": {
-                "passed": checks.mle_check.passed,
-                "statistic": checks.mle_check.statistic,
-                "bound": checks.mle_check.bound,
-                "margin": checks.mle_check.margin,
-            },
-            "empirical_constraint": {
-                "passed": checks.empirical_check.passed,
-                "statistic": checks.empirical_check.statistic,
-                "bound": checks.empirical_check.bound,
-                "margin": checks.empirical_check.margin,
-            },
-            "passed": checks.passed,
+            key: {
+                "passed": check.passed,
+                "statistic": check.statistic,
+                "bound": check.bound,
+                "margin": check.margin,
+            }
+            for key, check in (
+                ("mle_constraint", checks.mle_check),
+                ("empirical_constraint", checks.empirical_check),
+            )
         }
+        meta["sample_checks"]["passed"] = checks.passed
     return meta
 
 
@@ -509,79 +554,6 @@ def _prepare_out_dir(out_dir) -> Path:
     return out
 
 
-def _build_tasks(
-    config: RunConfig, master_seed: int, exact_checks: bool
-) -> tuple[list[CellTask], dict, FiniteExpFamily, ParamBox, np.ndarray]:
-    fam = config.build_family()
-    box = config.build_box()
-    theta_star = np.asarray(config.theta_star, dtype=float)
-    theta_init = None if config.theta_init is None else np.asarray(config.theta_init, dtype=float)
-    grid = box.grid(config.grid_per_axis)
-    bounds = compute_grid_bounds(fam, box, theta_star, config.grid_per_axis)
-    mean_table = np.stack([mean_parameter(fam, t) for t in grid])
-    stat_tables = {int(m): m_step_stat_table(fam, grid, int(m)) for m in config.m_values}
-    constants = {
-        (int(n), int(m)): assemble_constants(fam, box, bounds, int(m), int(n), config.gamma)
-        for n in config.n_values
-        for m in config.m_values
-    }
-
-    tasks = []
-    for n in sorted(int(v) for v in config.n_values):
-        for rep in sorted(int(s) for s in config.seeds):
-            data_seed = [master_seed, rep, n, RNG_STREAM_DATA]
-            data = sample_iid(fam, theta_star, n, seed=data_seed)
-            try:
-                mle_result = mle(fam, data, box)
-            except MleNonexistenceError:
-                mle_result = None
-            for m in sorted(int(v) for v in config.m_values):
-                checks = None
-                if mle_result is not None:
-                    checks = SampleChecks(
-                        mle=mle_result,
-                        mle_check=check_constraint_mle(
-                            fam, data, theta_star, config.gamma, box, mle_result=mle_result
-                        ),
-                        empirical_check=check_constraint_empirical_process(
-                            fam,
-                            data,
-                            theta_star,
-                            m,
-                            config.gamma,
-                            grid,
-                            stat_table=stat_tables[m],
-                        ),
-                        gamma=config.gamma,
-                        m=m,
-                    )
-                tasks.append(
-                    CellTask(
-                        fam=fam,
-                        box=box,
-                        schedule=config.schedule,
-                        items=data.items,
-                        data_seed=data_seed,
-                        n=n,
-                        m=m,
-                        replicate=rep,
-                        master_seed=master_seed,
-                        steps=int(config.iterations),
-                        burn_in=int(config.burn_in),
-                        theta_init=theta_init,
-                        theta_star=theta_star,
-                        tail_fraction=float(config.tail_fraction),
-                        constants=constants[(n, m)],
-                        checks=checks,
-                        exact_step_checks=exact_checks,
-                        grid=grid if exact_checks else None,
-                        stat_table=stat_tables[m] if exact_checks else None,
-                        mean_table=mean_table if exact_checks else None,
-                    )
-                )
-    return tasks, constants, fam, box, theta_star
-
-
 def run_experiment(
     config: RunConfig,
     out_dir,
@@ -596,10 +568,9 @@ def run_experiment(
     out = _prepare_out_dir(out_dir)
     _write(out / "config.json", _json_text({"config": config.to_dict(), "master_seed": master_seed}))
 
-    tasks, constants, fam, box, theta_star = _build_tasks(
-        config, master_seed, config.exact_step_checks
-    )
+    tasks, constants = _prepare_cells(config, master_seed, config.exact_step_checks)
     outcomes = _map_tasks(tasks, workers)
+    theta_star = tasks[0].theta_star
 
     deltas: dict = {}
     for task, outcome in zip(tasks, outcomes):
@@ -607,86 +578,61 @@ def run_experiment(
         mle_theta = task.checks.mle.theta if task.checks is not None else None
         _write(cell_dir / "trajectory.csv", _trajectory_csv(outcome.trajectory, theta_star, mle_theta))
         _write(cell_dir / "meta.json", _json_text(_scrub(_meta_dict(config, master_seed, task, outcome))))
-        if outcome.drift is not None:
-            _write(cell_dir / "drift.csv", _drift_csv(outcome.drift))
-        if outcome.martingale is not None:
-            _write(cell_dir / "martingale.csv", _martingale_csv(outcome.martingale))
-        _write(cell_dir / "diagnostics.json", _json_text(_scrub(_diagnostic_entries(outcome))))
+        _write_cell_diagnostics(cell_dir, outcome)
         deltas.setdefault((outcome.n, outcome.m), {})[outcome.replicate] = outcome.delta.tail_max
 
     _write_constraint_report(out, tasks)
-    _write_plot_data(out, config, outcomes, theta_star, constants, deltas)
+    series = _write_plot_data(out, outcomes, theta_star, constants, deltas)
     if svg:
-        series = []
-        for n in sorted(int(v) for v in config.n_values):
-            for m in sorted(int(v) for v in config.m_values):
-                cell = [o for o in outcomes if o.n == n and o.m == m]
-                ts = np.arange(cell[0].trajectory.burn_in, cell[0].trajectory.steps + 1)
-                dists = np.median(
-                    np.stack(
-                        [
-                            np.linalg.norm(o.trajectory.weighted_avgs - theta_star, axis=1)
-                            for o in cell
-                        ]
-                    ),
-                    axis=0,
-                )
-                series.append((f"n={n} m={m}", ts, dists))
         _write(out / "plots" / "convergence.svg", _svg_chart(series))
     return ExperimentResult(out_dir=out, deltas=deltas, constants=constants, outcomes=outcomes)
 
 
 def _write_constraint_report(out: Path, tasks: list[CellTask]) -> None:
-    lines = ["seed,n,m,check,pass,margin"]
-    for task in tasks:
+    rows = [
+        (
+            task.replicate,
+            task.n,
+            task.m,
+            name,
+            0 if check is None else int(check.passed),
+            math.nan if check is None else check.margin,
+        )
+        for task in tasks
         for name, check in (
             ("mle_deviation", None if task.checks is None else task.checks.mle_check),
             ("empirical_process", None if task.checks is None else task.checks.empirical_check),
-        ):
-            passed = "0" if check is None else str(int(check.passed))
-            margin = "nan" if check is None else _fmt(check.margin)
-            lines.append(
-                ",".join([str(task.replicate), str(task.n), str(task.m), name, passed, margin])
-            )
-    _write(out / "constraint_checks.csv", "\n".join(lines) + "\n")
-
-
-def _write_plot_data(out, config, outcomes, theta_star, constants, deltas) -> None:
-    for n in sorted(int(v) for v in config.n_values):
-        for m in sorted(int(v) for v in config.m_values):
-            cell = [o for o in outcomes if o.n == n and o.m == m]
-            reps = [o.replicate for o in cell]
-            header = "t," + ",".join(f"s{r}" for r in reps)
-            lines = [header]
-            burn_in = cell[0].trajectory.burn_in
-            steps = cell[0].trajectory.steps
-            dist = np.stack(
-                [np.linalg.norm(o.trajectory.weighted_avgs - theta_star, axis=1) for o in cell]
-            )
-            for k, t in enumerate(range(burn_in, steps + 1)):
-                lines.append(str(t) + "," + ",".join(_fmt(v) for v in dist[:, k]))
-            _write(out / "plots" / f"avg_distance_n{n}_m{m}.csv", "\n".join(lines) + "\n")
-
-    lines = ["n,m,median_delta,q25,q75,rate_bound,coverage"]
-    for (n, m) in sorted(deltas):
-        values = np.array([deltas[(n, m)][r] for r in sorted(deltas[(n, m)])])
-        consts = constants[(n, m)]
-        bound = consts.rate_bound(n)
-        coverage = float(np.mean(values < bound))
-        lines.append(
-            ",".join(
-                [
-                    str(n),
-                    str(m),
-                    _fmt(np.median(values)),
-                    _fmt(np.quantile(values, 0.25)),
-                    _fmt(np.quantile(values, 0.75)),
-                    _fmt(bound),
-                    _fmt(coverage),
-                ]
-            )
         )
-    _write(out / "plots" / "delta_vs_n.csv", "\n".join(lines) + "\n")
+    ]
+    _write(
+        out / "constraint_checks.csv",
+        _csv(["seed", "n", "m", "check", "pass", "margin"], list(zip(*rows))),
+    )
+
+
+def _write_plot_data(out, outcomes, theta_star, constants, deltas) -> list:
+    """Write the plot CSVs; return the median distance series of each (n, m) for the chart."""
+    series, rows = [], []
+    for n, m in sorted(deltas):
+        cell = [o for o in outcomes if o.n == n and o.m == m]
+        ts = np.arange(cell[0].trajectory.burn_in, cell[0].trajectory.steps + 1)
+        dist = np.stack(
+            [np.linalg.norm(o.trajectory.weighted_avgs - theta_star, axis=1) for o in cell]
+        )
+        _write(
+            out / "plots" / f"avg_distance_n{n}_m{m}.csv",
+            _csv(["t"] + [f"s{o.replicate}" for o in cell], [ts, *dist]),
+        )
+        series.append((f"n={n} m={m}", ts, np.median(dist, axis=0)))
+        values = np.array([deltas[(n, m)][r] for r in sorted(deltas[(n, m)])])
+        bound = constants[(n, m)].rate_bound(n)
+        q25, q75 = np.quantile(values, 0.25), np.quantile(values, 0.75)
+        rows.append((n, m, np.median(values), q25, q75, bound, envelope_coverage(values, bound)))
+    _write(
+        out / "plots" / "delta_vs_n.csv",
+        _csv(["n", "m", "median_delta", "q25", "q75", "rate_bound", "coverage"], list(zip(*rows))),
+    )
+    return series
 
 
 def verify_assumptions(config: RunConfig, out_dir=None) -> dict:
@@ -702,11 +648,7 @@ def verify_assumptions(config: RunConfig, out_dir=None) -> dict:
     bounds = compute_grid_bounds(fam, box, theta_star, config.grid_per_axis)
     ident = identifiability_report(fam, box)
     annealing_ok, reason = config.schedule.annealing_verdict()
-    constants = {
-        (int(n), int(m)): assemble_constants(fam, box, bounds, int(m), int(n), config.gamma)
-        for n in config.n_values
-        for m in config.m_values
-    }
+    constants = _constants_table(config, fam, box, bounds)
     any_constants = next(iter(constants.values()))
     report = {
         "stat_bound": fam.stat_bound,
@@ -796,23 +738,15 @@ def rate_sweep(config: RunConfig, out_dir, master_seed: int = 0, workers: int = 
         v["monotone_medians"] and v["slope_in_band"] for v in verdict["per_m"].values()
     ) and gap < SLOPE_GAP_TOL
 
-    lines = ["n,m,median_delta,rate_bound,coverage"]
-    for m in sorted(fits):
-        fit = fits[m]
-        for n, med in zip(fit.sizes, fit.medians):
-            bound = run.constants[(int(n), m)].rate_bound(int(n))
-            lines.append(
-                ",".join(
-                    [
-                        str(int(n)),
-                        str(m),
-                        _fmt(med),
-                        _fmt(bound),
-                        _fmt(fit.coverage["per_size"][int(n)]),
-                    ]
-                )
-            )
-    _write(out / "rate" / "rate_summary.csv", "\n".join(lines) + "\n")
+    rows = [
+        (n, m, med, run.constants[(n, m)].rate_bound(n), fits[m].coverage["per_size"][n])
+        for m in sorted(fits)
+        for n, med in zip(fits[m].sizes.astype(int).tolist(), fits[m].medians)
+    ]
+    _write(
+        out / "rate" / "rate_summary.csv",
+        _csv(["n", "m", "median_delta", "rate_bound", "coverage"], list(zip(*rows))),
+    )
     fit_doc = {
         str(m): {
             "slope": fits[m].slope,
@@ -841,118 +775,101 @@ class DiagnoseResult:
     ok: bool
 
 
-def _read_trajectory_csv(path: Path, burn_in: int) -> Trajectory:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    dim = sum(1 for name in header if name.startswith("theta_"))
-    idx = {name: i for i, name in enumerate(header)}
-    thetas = np.array([[float(r[idx[f"theta_{j + 1}"]]) for j in range(dim)] for r in rows])
-    etas = np.array([float(r[idx["eta_t"]]) for r in rows])
-    hits = np.array([bool(int(r[idx["boundary_hit"]])) for r in rows])
+def _read_stored_config(out: Path) -> tuple[RunConfig, int]:
+    path = out / "config.json"
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict) or "config" not in doc:
+        raise ConfigError(f'{path} holds no "config" object')
+    master_seed = doc.get("master_seed", 0)
+    if not isinstance(master_seed, int) or master_seed < 0:
+        raise ConfigError(f"{path} holds no nonnegative integer master_seed")
+    return RunConfig.from_dict(doc["config"]), master_seed
+
+
+def _read_cell(cell_dir: Path, task: CellTask) -> Trajectory:
+    """The stored trajectory of one cell, refused unless it is the task's.
+
+    ``meta.json`` must record the task's n, m, replicate, data seed and
+    burn-in, and ``trajectory.csv`` must hold iterations + 1 rows.
+    """
+    expected = {
+        "n": task.n,
+        "m": task.m,
+        "replicate": task.replicate,
+        "data_seed": list(task.data_seed),
+        "burn_in": task.burn_in,
+    }
+    meta_path, traj_path = cell_dir / "meta.json", cell_dir / "trajectory.csv"
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {meta_path}: {exc}") from exc
+    meta = meta if isinstance(meta, dict) else {}
+    wrong = sorted(key for key, want in expected.items() if meta.get(key) != want)
+    if wrong:
+        raise ConfigError(f"{meta_path} disagrees with config.json on {', '.join(wrong)}")
+    try:
+        with open(traj_path, "r", encoding="utf-8") as fh:
+            idx = {name: i for i, name in enumerate(fh.readline().strip().split(","))}
+            rows = [line.strip().split(",") for line in fh if line.strip()]
+        theta_cols = [idx[f"theta_{j + 1}"] for j in range(task.fam.dim)]
+        thetas = np.array([[float(r[i]) for i in theta_cols] for r in rows])
+        etas = np.array([float(r[idx["eta_t"]]) for r in rows])
+        hits = np.array([bool(int(r[idx["boundary_hit"]])) for r in rows])
+    except (OSError, ValueError, KeyError, IndexError) as exc:
+        raise ConfigError(f"cannot read {traj_path}: {exc}") from exc
+    if len(rows) != task.steps + 1:
+        raise ConfigError(
+            f"{traj_path} has {len(rows)} rows, expected iterations + 1 = {task.steps + 1}"
+        )
     return Trajectory(
         thetas=thetas,
         etas=etas,
         boundary_hits=hits,
-        weighted_avgs=weighted_average_series(thetas, etas, burn_in),
-        burn_in=burn_in,
-        m=0,
-        n=0,
-        master_seed=0,
-        replicate=0,
+        weighted_avgs=weighted_average_series(thetas, etas, task.burn_in),
+        burn_in=task.burn_in,
+        m=task.m,
+        n=task.n,
+        master_seed=task.master_seed,
+        replicate=task.replicate,
+        data_id=task.data_id,
     )
 
 
 def diagnose_run(out_dir) -> DiagnoseResult:
     """Re-run the exact per-step checks against trajectories stored on disk.
 
-    Data samples are regenerated from the recorded seeds, the constants and
-    sample constraints recomputed, and fresh diagnostics written next to
-    each trajectory.  A cell fails when any hypothesis-met check records a
+    The cells are derived from ``config.json`` exactly as ``run`` derives
+    them, so the data samples, constants and sample constraints are
+    rebuilt from the recorded seeds; fresh diagnostics are written next to
+    each trajectory.  A stored run whose cells, ``meta.json`` files or
+    trajectory lengths disagree with its configuration is refused with
+    ``ConfigError``.  A cell fails when any hypothesis-met check records a
     violation.
     """
     out = Path(out_dir)
-    config_path = out / "config.json"
-    if not config_path.exists():
-        raise ConfigError(f"no config.json under {out}")
-    with open(config_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    config = RunConfig.from_dict(doc["config"])
-    master_seed = int(doc.get("master_seed", 0))
+    config, master_seed = _read_stored_config(out)
+    tasks, _ = _prepare_cells(config, master_seed, True)
+    tasks.sort(key=lambda task: task.label)
 
-    fam = config.build_family()
-    box = config.build_box()
-    theta_star = np.asarray(config.theta_star, dtype=float)
-    grid = box.grid(config.grid_per_axis)
-    bounds = compute_grid_bounds(fam, box, theta_star, config.grid_per_axis)
-    mean_table = np.stack([mean_parameter(fam, t) for t in grid])
-    stat_tables: dict = {}
-
-    cell_dirs = sorted((out / "cells").glob("n*_m*_s*"))
-    if not cell_dirs:
-        raise ConfigError(f"no cells under {out}")
-    cells = []
-    all_ok = True
-    for cell_dir in cell_dirs:
-        with open(cell_dir / "meta.json", "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        n, m, rep = int(meta["n"]), int(meta["m"]), int(meta["replicate"])
-        if m not in stat_tables:
-            stat_tables[m] = m_step_stat_table(fam, grid, m)
-        traj = _read_trajectory_csv(cell_dir / "trajectory.csv", int(meta["burn_in"]))
-        traj.m, traj.n, traj.master_seed, traj.replicate = m, n, master_seed, rep
-        data = sample_iid(fam, theta_star, n, seed=meta["data_seed"])
-        constants = assemble_constants(fam, box, bounds, m, n, config.gamma)
-        try:
-            mle_result = mle(fam, data, box)
-        except MleNonexistenceError:
-            mle_result = None
-        checks = None
-        if mle_result is not None:
-            checks = SampleChecks(
-                mle=mle_result,
-                mle_check=check_constraint_mle(
-                    fam, data, theta_star, config.gamma, box, mle_result=mle_result
-                ),
-                empirical_check=check_constraint_empirical_process(
-                    fam, data, theta_star, m, config.gamma, grid, stat_table=stat_tables[m]
-                ),
-                gamma=config.gamma,
-                m=m,
-            )
-        drift = mart = occ = bias = None
-        if checks is not None:
-            drift = drift_report(fam, box, traj, data.items, constants, checks)
-            if checks.passed:
-                bias = bias_bound_grid(
-                    fam, data.items, constants, checks, grid,
-                    stat_table=stat_tables[m], mean_table=mean_table,
-                )
-            if constants.drift_coeff > 0:
-                mart = martingale_report(fam, box, traj, data.items, constants, checks)
-                occ = occupancy_report(traj, constants, checks.mle.theta)
-        outcome = CellOutcome(
-            label=cell_dir.name,
-            n=n,
-            m=m,
-            replicate=rep,
-            trajectory=traj,
-            delta=delta_n(traj, theta_star, config.tail_fraction),
-            drift=drift,
-            martingale=mart,
-            occupancy=occ,
-            bias=bias,
-            mle_exists=mle_result is not None,
+    cells_dir = out / "cells"
+    stored = {p.name for p in cells_dir.iterdir() if p.is_dir()} if cells_dir.is_dir() else set()
+    listed = {task.label for task in tasks}
+    if stored != listed:
+        raise ConfigError(
+            f"cells under {cells_dir} do not match config.json: "
+            f"missing {sorted(listed - stored)}, not listed {sorted(stored - listed)}"
         )
-        entries = _diagnostic_entries(outcome)
-        _write(cell_dir / "diagnostics.json", _json_text(_scrub(entries)))
-        if drift is not None:
-            _write(cell_dir / "drift.csv", _drift_csv(drift))
-        if mart is not None:
-            _write(cell_dir / "martingale.csv", _martingale_csv(mart))
+    trajectories = [_read_cell(cells_dir / task.label, task) for task in tasks]
+
+    cells = []
+    for task, traj in zip(tasks, trajectories):
+        entries = _write_cell_diagnostics(cells_dir / task.label, evaluate_cell(task, traj))
         violations = sum(e["violations"] for e in entries if e.get("hypotheses_met"))
-        ok = violations == 0
-        all_ok = all_ok and ok
-        cells.append({"cell": cell_dir.name, "violations": violations, "ok": ok})
+        cells.append({"cell": task.label, "violations": violations, "ok": violations == 0})
+    all_ok = all(cell["ok"] for cell in cells)
     _write(out / "diagnose_summary.json", _json_text(_scrub({"cells": cells, "ok": all_ok})))
     return DiagnoseResult(out_dir=out, cells=cells, ok=all_ok)

@@ -165,22 +165,89 @@ def _cd_endpoints(
     return rng.multinomial(start[occupied], km[occupied]).sum(axis=0)
 
 
+def _cd_direction(
+    fam: FiniteExpFamily, theta: np.ndarray, start: np.ndarray, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    """CD-m gradient estimate from ``start[s]`` chains at each state s."""
+    end = _cd_endpoints(fam, theta, start, m, rng)
+    return (start - end) @ fam.suff_stats / start.sum()
+
+
+def _exact_direction(fam: FiniteExpFamily, theta: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Exact log-likelihood gradient of the sample with state counts ``start``."""
+    return start @ fam.suff_stats / start.sum() - mean_parameter(fam, theta)
+
+
 def _guarded_update(
     fam: FiniteExpFamily,
     box: ParamBox,
     theta: np.ndarray,
     eta: float,
-    start: np.ndarray,
-    m: int,
     stat_bound: float,
-    make_rng,
+    gradient,
 ) -> tuple[np.ndarray, bool]:
-    """The guarded CD-m update on validated inputs; ``make_rng`` runs only if not frozen."""
+    """The guarded update on validated inputs; ``gradient()`` runs only if not frozen."""
     if boundary_layer_contains(box, theta, eta, stat_bound, fam.dim):
         return theta, True
-    end = _cd_endpoints(fam, theta, start, m, make_rng())
-    grad = (start - end) @ fam.suff_stats / start.sum()
-    return theta + eta * grad, False
+    return theta + eta * gradient(), False
+
+
+def _guarded_run(
+    fam: FiniteExpFamily,
+    box: ParamBox,
+    schedule: Schedule,
+    data,
+    steps: int,
+    burn_in: int,
+    theta_init,
+    data_id: str,
+    gradient,
+    m: int,
+    master_seed: int,
+    replicate: int,
+) -> Trajectory:
+    """Guarded updates along ``gradient(t, theta, start)``, the loop of every learner.
+
+    Inputs are validated once; ``start`` holds the state counts of the data.
+    A step the guard freezes never calls ``gradient``.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if not 0 <= burn_in <= steps:
+        raise ValueError("burn_in must lie in [0, steps]")
+    items = _data_indices(fam, data)
+    start = np.bincount(items, minlength=fam.n_states)
+    stat_bound = fam.stat_bound
+    theta = np.zeros(fam.dim) if theta_init is None else np.asarray(theta_init, dtype=float)
+    if not box.contains(theta):
+        raise ValueError("initial theta outside the parameter box")
+    thetas = np.empty((steps + 1, fam.dim))
+    hits = np.empty(steps + 1, dtype=bool)
+    thetas[0] = theta
+    for t in range(steps):
+        theta, hits[t] = _guarded_update(
+            fam, box, theta, schedule.rate(t), stat_bound,
+            functools.partial(gradient, t, theta, start),
+        )
+        if not box.contains(theta):
+            raise RuntimeError("guarded update left the parameter box")
+        thetas[t + 1] = theta
+    hits[steps] = boundary_layer_contains(
+        box, thetas[steps], schedule.rate(steps), stat_bound, fam.dim
+    )
+    etas = schedule.rates(steps + 1)
+    return Trajectory(
+        thetas=thetas,
+        etas=etas,
+        boundary_hits=hits,
+        weighted_avgs=weighted_average_series(thetas, etas, burn_in),
+        burn_in=burn_in,
+        m=m,
+        n=int(items.size),
+        master_seed=master_seed,
+        replicate=replicate,
+        data_id=data_id or getattr(data, "data_id", ""),
+    )
 
 
 def cd_gradient(
@@ -197,10 +264,8 @@ def cd_gradient(
     empirical statistic mean of the data and of the chain endpoints.  Its
     norm never exceeds 2 * sqrt(dim) * stat_bound.
     """
-    items = _data_indices(fam, data)
-    start = np.bincount(items, minlength=fam.n_states)
-    end = _cd_endpoints(fam, theta, start, m, rng)
-    return (start - end) @ fam.suff_stats / items.size
+    start = np.bincount(_data_indices(fam, data), minlength=fam.n_states)
+    return _cd_direction(fam, theta, start, m, rng)
 
 
 def cd_step(
@@ -215,7 +280,10 @@ def cd_step(
     """Guarded update: freeze inside the boundary layer, else step along CD-m."""
     start = np.bincount(_data_indices(fam, data), minlength=fam.n_states)
     theta = np.asarray(theta, dtype=float)
-    return _guarded_update(fam, box, theta, eta, start, m, fam.stat_bound, lambda: rng)
+    return _guarded_update(
+        fam, box, theta, eta, fam.stat_bound,
+        functools.partial(_cd_direction, fam, theta, start, m, rng),
+    )
 
 
 def run_cd(
@@ -233,52 +301,17 @@ def run_cd(
 ) -> Trajectory:
     """Run CD-m for a fixed number of guarded updates.
 
-    Inputs are validated once; a step the guard freezes draws no
-    randomness, and every other step t draws from its own counter stream.
+    A step the guard freezes draws no randomness, and every other step t
+    draws from its own counter stream.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not 0 <= burn_in <= steps:
-        raise ValueError("burn_in must lie in [0, steps]")
-    items = _data_indices(fam, data)
-    start = np.bincount(items, minlength=fam.n_states)
-    stat_bound = fam.stat_bound
-    theta = np.zeros(fam.dim) if theta_init is None else np.asarray(theta_init, dtype=float)
-    if not box.contains(theta):
-        raise ValueError("initial theta outside the parameter box")
-    thetas = np.empty((steps + 1, fam.dim))
-    hits = np.empty(steps + 1, dtype=bool)
-    thetas[0] = theta
-    for t in range(steps):
-        theta, hit = _guarded_update(
-            fam,
-            box,
-            theta,
-            schedule.rate(t),
-            start,
-            m,
-            stat_bound,
-            functools.partial(counter_rng, master_seed, replicate, t, RNG_STREAM_CD),
-        )
-        if not box.contains(theta):
-            raise RuntimeError("guarded update left the parameter box")
-        thetas[t + 1] = theta
-        hits[t] = hit
-    hits[steps] = boundary_layer_contains(
-        box, thetas[steps], schedule.rate(steps), stat_bound, fam.dim
-    )
-    etas = schedule.rates(steps + 1)
-    return Trajectory(
-        thetas=thetas,
-        etas=etas,
-        boundary_hits=hits,
-        weighted_avgs=weighted_average_series(thetas, etas, burn_in),
-        burn_in=burn_in,
-        m=int(m),
-        n=int(items.size),
-        master_seed=master_seed,
-        replicate=replicate,
-        data_id=data_id or getattr(data, "data_id", ""),
+
+    def gradient(t, theta, start):
+        rng = counter_rng(master_seed, replicate, t, RNG_STREAM_CD)
+        return _cd_direction(fam, theta, start, m, rng)
+
+    return _guarded_run(
+        fam, box, schedule, data, steps, burn_in, theta_init, data_id,
+        gradient, int(m), master_seed, replicate,
     )
 
 
@@ -335,12 +368,12 @@ def exact_gradient_step(
     fam: FiniteExpFamily, box: ParamBox, theta: np.ndarray, data, eta: float
 ) -> tuple[np.ndarray, bool]:
     """Noiseless baseline: step along the exact log-likelihood gradient."""
+    start = np.bincount(_data_indices(fam, data), minlength=fam.n_states)
     theta = np.asarray(theta, dtype=float)
-    if boundary_layer_contains(box, theta, eta, fam.stat_bound, fam.dim):
-        return theta, True
-    items = _data_indices(fam, data)
-    emp = np.bincount(items, minlength=fam.n_states) @ fam.suff_stats / items.size
-    return theta + eta * (emp - mean_parameter(fam, theta)), False
+    return _guarded_update(
+        fam, box, theta, eta, fam.stat_bound,
+        functools.partial(_exact_direction, fam, theta, start),
+    )
 
 
 def run_exact_gradient(
@@ -354,32 +387,10 @@ def run_exact_gradient(
     data_id: str = "",
 ) -> Trajectory:
     """Run the exact-gradient baseline with the same guard and averaging."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    items = _data_indices(fam, data)
-    theta = np.zeros(fam.dim) if theta_init is None else np.asarray(theta_init, dtype=float)
-    if not box.contains(theta):
-        raise ValueError("initial theta outside the parameter box")
-    thetas = np.empty((steps + 1, fam.dim))
-    hits = np.empty(steps + 1, dtype=bool)
-    thetas[0] = theta
-    for t in range(steps):
-        theta, hit = exact_gradient_step(fam, box, theta, items, schedule.rate(t))
-        thetas[t + 1] = theta
-        hits[t] = hit
-    hits[steps] = boundary_layer_contains(
-        box, thetas[steps], schedule.rate(steps), fam.stat_bound, fam.dim
-    )
-    etas = schedule.rates(steps + 1)
-    return Trajectory(
-        thetas=thetas,
-        etas=etas,
-        boundary_hits=hits,
-        weighted_avgs=weighted_average_series(thetas, etas, burn_in),
-        burn_in=burn_in,
-        m=0,
-        n=int(items.size),
-        master_seed=0,
-        replicate=0,
-        data_id=data_id or getattr(data, "data_id", ""),
+
+    def gradient(t, theta, start):
+        return _exact_direction(fam, theta, start)
+
+    return _guarded_run(
+        fam, box, schedule, data, steps, burn_in, theta_init, data_id, gradient, 0, 0, 0
     )

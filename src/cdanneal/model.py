@@ -159,16 +159,24 @@ def _check_theta(fam: FiniteExpFamily, theta) -> np.ndarray:
     return theta
 
 
-def _data_indices(fam: FiniteExpFamily, data) -> np.ndarray:
-    """State indices of a sample (a ``DataSample`` or an index array) as int64."""
-    items = np.asarray(getattr(data, "items", data))
+def _index_array(items) -> np.ndarray:
+    """A non-empty 1-d array of nonnegative integer state indices, as int64."""
+    items = np.asarray(items)
     if items.ndim != 1 or items.size == 0:
         raise ValueError("data must be a non-empty 1-d array of state indices")
     if not np.issubdtype(items.dtype, np.integer):
         raise ValueError("data must contain state indices")
-    if items.min() < 0 or items.max() >= fam.n_states:
-        raise ValueError("datum outside the state space")
+    if items.min() < 0:
+        raise ValueError("negative state index")
     return items.astype(np.int64, copy=False)
+
+
+def _data_indices(fam: FiniteExpFamily, data) -> np.ndarray:
+    """State indices of a sample (a ``DataSample`` or an index array) as int64."""
+    items = _index_array(getattr(data, "items", data))
+    if items.max() >= fam.n_states:
+        raise ValueError("datum outside the state space")
+    return items
 
 
 def log_partition(fam: FiniteExpFamily, theta) -> float:

@@ -22,6 +22,7 @@ from .model import (
     FiniteExpFamily,
     ParamBox,
     _data_indices,
+    _index_array,
     fisher_info,
     lattice_neighbor_pairs,
     log_partition,
@@ -60,12 +61,7 @@ class DataSample:
     seed: object
 
     def __post_init__(self):
-        items = np.asarray(self.items, dtype=np.int64)
-        if items.ndim != 1 or items.size == 0:
-            raise ValueError("items must be a non-empty 1-d index array")
-        if items.min() < 0:
-            raise ValueError("negative state index")
-        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "items", _index_array(self.items))
         object.__setattr__(self, "theta_star", np.asarray(self.theta_star, dtype=float))
 
     @property

@@ -301,6 +301,18 @@ class TestRateFit:
         fit = rate_fit(deltas, rate_coeffs=coeffs, gamma=0.05)
         assert fit.coverage["overall"] == 1.0
 
+    def test_infinite_envelope_has_no_coverage(self):
+        deltas = {n: [float(n) ** (-1 / 3)] * 10 for n in (100, 1000, 10_000)}
+        # bounds: inf at n=100, about 0.25 > 0.1 at n=1000, about 0.03 < 0.046 at n=10^4
+        coeffs = {100: math.inf, 1000: 2.0, 10_000: 0.5}
+        fit = rate_fit(deltas, rate_coeffs=coeffs, gamma=0.05)
+        assert math.isnan(fit.coverage["per_size"][100])
+        assert fit.coverage["per_size"][1000] == 1.0
+        assert fit.coverage["per_size"][10_000] == 0.0
+        assert fit.coverage["overall"] == 0.5  # finite-bound sizes only
+        fit = rate_fit(deltas, rate_coeffs={n: math.inf for n in deltas}, gamma=0.05)
+        assert math.isnan(fit.coverage["overall"])
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
             rate_fit({n: [0.0] * 10 for n in (10, 100, 1000)})

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 import time
 from pathlib import Path
 
@@ -189,6 +190,14 @@ class TestRunExperiment:
         assert summary[0] == "n,m,median_delta,q25,q75,rate_bound,coverage"
         assert len(summary) == 2
 
+    def test_coverage_is_nan_against_an_infinite_bound(self, run_dir):
+        # half-width 3 with m = 1: the drift coefficient is not positive
+        out, result = run_dir
+        assert result.constants[(60, 1)].drift_coeff <= 0
+        row = (out / "plots" / "delta_vs_n.csv").read_text().strip().split("\n")[1].split(",")
+        assert row[:2] == ["60", "1"]
+        assert row[5:] == ["inf", "nan"]
+
     def test_constraint_report_written(self, run_dir):
         out, _ = run_dir
         lines = (out / "constraint_checks.csv").read_text().strip().split("\n")
@@ -296,6 +305,79 @@ class TestDiagnose:
     def test_missing_run_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             diagnose_run(tmp_path / "nowhere")
+
+    def test_run_then_diagnose_changes_no_file(self, tmp_path):
+        # half-width 1.25 admits m = 16 with a positive drift coefficient, so
+        # the martingale and occupancy checks run as well
+        config = small_config(
+            n_values=[200], m_values=[16], iterations=60, burn_in=6, half_width=1.25
+        )
+        out = tmp_path / "run"
+        result = run_experiment(config, out, master_seed=3)
+        assert result.constants[(200, 16)].drift_coeff > 0
+        before = file_digests(out)
+        assert {"cells/n200_m16_s0/martingale.csv", "cells/n200_m16_s1/drift.csv"} <= set(before)
+        coverage = (out / "plots" / "delta_vs_n.csv").read_text().strip().split("\n")[1].split(",")[-1]
+        assert 0.0 <= float(coverage) <= 1.0
+        assert diagnose_run(out).ok
+        after = file_digests(out)
+        assert set(after) - set(before) == {"diagnose_summary.json"}
+        assert {path: after[path] for path in before} == before
+
+
+def file_digests(root: Path) -> dict:
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _edit_json(path: Path, **changes) -> None:
+    doc = json.loads(path.read_text())
+    doc.update(changes)
+    path.write_text(json.dumps(doc))
+
+
+def _replace_with_directory(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
+def _drop_last_row(path: Path) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+
+
+CELL = Path("cells") / "n60_m1_s1"
+MALFORMED_RUNS = {
+    "config_unreadable": lambda out: _replace_with_directory(out / "config.json"),
+    "config_not_json": lambda out: (out / "config.json").write_text("{oops"),
+    "config_without_config_key": lambda out: (out / "config.json").write_text('{"master_seed": 5}'),
+    "config_master_seed_not_int": lambda out: _edit_json(out / "config.json", master_seed="5"),
+    "cell_directory_missing": lambda out: shutil.rmtree(out / CELL),
+    "meta_missing": lambda out: (out / CELL / "meta.json").unlink(),
+    "trajectory_missing": lambda out: (out / CELL / "trajectory.csv").unlink(),
+    "unlisted_cell_directory": lambda out: shutil.copytree(out / CELL, out / "cells" / "n60_m1_s7"),
+    "meta_n": lambda out: _edit_json(out / CELL / "meta.json", n=61),
+    "meta_m": lambda out: _edit_json(out / CELL / "meta.json", m=3),
+    "meta_replicate": lambda out: _edit_json(out / CELL / "meta.json", replicate=0),
+    "meta_data_seed": lambda out: _edit_json(out / CELL / "meta.json", data_seed=[5, 1, 60, 3]),
+    "meta_burn_in": lambda out: _edit_json(out / CELL / "meta.json", burn_in=4),
+    "trajectory_row_count": lambda out: _drop_last_row(out / CELL / "trajectory.csv"),
+}
+
+
+@pytest.mark.parametrize("mutate", list(MALFORMED_RUNS.values()), ids=list(MALFORMED_RUNS))
+def test_diagnose_refuses_malformed_run(run_dir, tmp_path, capsys, mutate):
+    out = tmp_path / "stored"
+    shutil.copytree(run_dir[0], out)
+    mutate(out)
+    assert cli.main(["diagnose", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not (out / "diagnose_summary.json").exists()
 
 
 class TestCli:

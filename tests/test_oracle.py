@@ -9,6 +9,7 @@ from cdanneal.kernel import kernel_power, build_gibbs_random_scan
 from cdanneal.learner import cd_gradient, counter_rng
 from cdanneal.model import ParamBox, state_probs
 from cdanneal.oracle import (
+    DataSample,
     MleNonexistenceError,
     assemble_constants,
     check_constraint_empirical_process,
@@ -42,6 +43,18 @@ class TestDataIndices:
         np.testing.assert_array_equal(
             empirical_stat_mean(fvbm2, data), empirical_stat_mean(fvbm2, data.items.tolist())
         )
+
+
+class TestDataSample:
+    @pytest.mark.parametrize("items", [np.array([0.5, 1.7, 3.2]), np.array([0.0, 1.0]), [2.0]])
+    def test_non_integer_items_rejected(self, theta_star, items):
+        with pytest.raises(ValueError, match="state indices"):
+            DataSample(items=items, theta_star=theta_star, seed=None)
+
+    def test_integer_items_kept_as_int64(self, theta_star):
+        data = DataSample(items=[0, 3, 1], theta_star=theta_star, seed=None)
+        assert data.items.dtype == np.int64
+        np.testing.assert_array_equal(data.items, [0, 3, 1])
 
 
 class TestSampleIid:
