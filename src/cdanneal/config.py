@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,25 @@ MAX_GRID_POINTS = 2**16
 
 class ConfigError(ValueError):
     """Invalid run configuration; the CLI maps this to exit code 2."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite int or float; bools and numeric strings are refused, not converted."""
+    return _is_int(value) or (isinstance(value, (float, np.floating)) and math.isfinite(value))
+
+
+def _is_vector(value, dim: int) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == dim and all(map(_is_real, value))
+
+
+def _is_int_list(values, low: int) -> bool:
+    return isinstance(values, (list, tuple)) and len(values) > 0 and all(
+        _is_int(v) and v >= low for v in values
+    )
 
 
 @dataclass
@@ -65,55 +85,50 @@ class RunConfig:
             flip_tables(fam)
         except ValueError as exc:
             raise ConfigError(f"model cannot be sampled by random-scan Gibbs: {exc}") from exc
+        if not _is_real(self.half_width):
+            raise ConfigError("half_width must be a finite number")
         try:
             box = ParamBox(half_width=float(self.half_width), dim=fam.dim)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        theta_star = np.asarray(self.theta_star, dtype=float)
-        if theta_star.shape != (fam.dim,):
-            raise ConfigError(
-                f"theta_star has length {theta_star.size}, model has {fam.dim} parameters"
-            )
-        if not box.strictly_contains(theta_star):
+        if not _is_vector(self.theta_star, fam.dim):
+            raise ConfigError(f"theta_star must be a list of {fam.dim} finite numbers")
+        if not box.strictly_contains(self.theta_star):
             raise ConfigError("theta_star must lie strictly inside the parameter box")
-        if not self.n_values or any(int(n) < 1 for n in self.n_values):
-            raise ConfigError("n_values must be a non-empty list of sizes >= 1")
-        if not self.m_values or any(int(m) < 1 for m in self.m_values):
-            raise ConfigError("m_values must be a non-empty list of step counts >= 1")
+        if not _is_int_list(self.n_values, 1):
+            raise ConfigError("n_values must be a non-empty list of integer sizes >= 1")
+        if not _is_int_list(self.m_values, 1):
+            raise ConfigError("m_values must be a non-empty list of integer step counts >= 1")
         if not isinstance(self.schedule, Schedule):
             raise ConfigError("schedule must be a Schedule")
-        if not 0 <= int(self.burn_in) < int(self.iterations):
-            raise ConfigError("need iterations > burn_in >= 0")
-        if not 0.0 < float(self.gamma) < 0.5:
+        ints = _is_int(self.burn_in) and _is_int(self.iterations)
+        if not (ints and 0 <= self.burn_in < self.iterations):
+            raise ConfigError("need integers iterations > burn_in >= 0")
+        if not (_is_real(self.gamma) and 0.0 < self.gamma < 0.5):
             raise ConfigError("gamma must lie strictly between 0 and 1/2")
-        if not self.seeds or any(int(s) < 0 for s in self.seeds):
+        if not _is_int_list(self.seeds, 0):
             raise ConfigError("seeds must be a non-empty list of nonnegative integers")
-        if len(set(int(s) for s in self.seeds)) != len(self.seeds):
+        if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
-        if int(self.grid_per_axis) < 2:
-            raise ConfigError("grid_per_axis must be at least 2")
-        if int(self.grid_per_axis) ** fam.dim > MAX_GRID_POINTS:
+        if not _is_int(self.grid_per_axis) or self.grid_per_axis < 2:
+            raise ConfigError("grid_per_axis must be an integer >= 2")
+        if self.grid_per_axis ** fam.dim > MAX_GRID_POINTS:
             raise ConfigError(
                 f"grid_per_axis ** dim = {self.grid_per_axis} ** {fam.dim} exceeds "
                 f"the budget of {MAX_GRID_POINTS} grid points"
             )
-        if not 0.0 < float(self.tail_fraction) <= 1.0:
+        if not (_is_real(self.tail_fraction) and 0.0 < self.tail_fraction <= 1.0):
             raise ConfigError("tail_fraction must lie in (0, 1]")
         if self.theta_init is not None:
-            theta_init = np.asarray(self.theta_init, dtype=float)
-            if theta_init.shape != (fam.dim,):
-                raise ConfigError("theta_init has the wrong length")
-            if not box.contains(theta_init):
+            if not _is_vector(self.theta_init, fam.dim):
+                raise ConfigError(f"theta_init must be null or a list of {fam.dim} finite numbers")
+            if not box.contains(self.theta_init):
                 raise ConfigError("theta_init must lie inside the parameter box")
+        if not isinstance(self.exact_step_checks, bool):
+            raise ConfigError("exact_step_checks must be true or false")
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["schedule"] = {
-            "kind": self.schedule.kind,
-            "eta0": self.schedule.eta0,
-            "exponent": self.schedule.exponent,
-        }
-        return out
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -131,6 +146,11 @@ class RunConfig:
             sch = doc["schedule"]
             if not isinstance(sch, dict):
                 raise ConfigError("schedule must be an object")
+            unknown = set(sch) - {f.name for f in dataclasses.fields(Schedule)}
+            if unknown:
+                raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
+            if not all(_is_real(sch[key]) for key in ("eta0", "exponent") if key in sch):
+                raise ConfigError("schedule eta0 and exponent must be finite numbers")
             try:
                 doc["schedule"] = Schedule(
                     kind=sch.get("kind", "harmonic"),

@@ -19,6 +19,7 @@ from .model import (
     FiniteExpFamily,
     ParamBox,
     _data_indices,
+    _in_blocks,
     boundary_layer_contains,
     mean_parameter,
 )
@@ -51,18 +52,9 @@ class HypothesesUnmetError(RuntimeError):
     """A check was requested whose hypotheses the inputs do not satisfy."""
 
 
-def _moment_rows(fam: FiniteExpFamily, theta, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and second moment rows of phi under the m-step law from each state."""
-    kernel = kernel_power(build_gibbs_random_scan(fam, theta), m)
-    return kernel.probs @ fam.suff_stats, kernel.probs @ fam.suff_stats**2
-
-
 def exact_expected_cd_gradient(fam: FiniteExpFamily, theta, data, m: int) -> np.ndarray:
     """Conditional mean of the CD-m gradient given theta and the data."""
-    items = _data_indices(fam, data)
-    rows, _ = _moment_rows(fam, theta, m)
-    weights = np.bincount(items, minlength=fam.n_states) / items.size
-    return empirical_stat_mean(fam, items) - weights @ rows
+    return cd_conditional_moments(fam, theta, data, m)[0]
 
 
 def cd_conditional_moments(fam: FiniteExpFamily, theta, data, m: int) -> tuple[np.ndarray, float]:
@@ -75,7 +67,8 @@ def cd_conditional_moments(fam: FiniteExpFamily, theta, data, m: int) -> tuple[n
     items = _data_indices(fam, data)
     counts = np.bincount(items, minlength=fam.n_states)
     n = items.size
-    rows, sq_rows = _moment_rows(fam, theta, m)
+    km = kernel_power(build_gibbs_random_scan(fam, theta), m).probs
+    rows, sq_rows = km @ fam.suff_stats, km @ fam.suff_stats**2
     per_state_var = np.sum(sq_rows, axis=1) - np.sum(rows**2, axis=1)
     var_trace = float(counts @ per_state_var) / n**2
     mean = empirical_stat_mean(fam, items) - (counts / n) @ rows
@@ -111,14 +104,6 @@ class BiasCheck:
         return self.rhs - self.lhs
 
 
-def _bias_lhs(fam: FiniteExpFamily, theta, data, m: int) -> float:
-    """Norm of the conditional CD-gradient bias relative to the exact gradient."""
-    items = _data_indices(fam, data)
-    rows, _ = _moment_rows(fam, theta, m)
-    weights = np.bincount(items, minlength=fam.n_states) / items.size
-    return float(np.linalg.norm(mean_parameter(fam, theta) - weights @ rows))
-
-
 def check_bias_bound(
     fam: FiniteExpFamily,
     theta,
@@ -132,16 +117,10 @@ def check_bias_bound(
     The bound only holds for samples satisfying both quality constraints,
     so unverified samples are refused rather than scored.
     """
-    if not checks.passed:
-        raise HypothesesUnmetError("sample failed its quality constraints; bound does not apply")
+    report = bias_bound_grid(fam, data, constants, checks, theta)  # refuses unverified samples
     if m != constants.m or m != checks.m:
         raise ValueError("m disagrees between constants, checks and request")
-    theta = np.asarray(theta, dtype=float)
-    lhs = _bias_lhs(fam, theta, data, m)
-    rhs = constants.fluctuation_scale + constants.bias_coeff * float(
-        np.linalg.norm(theta - checks.mle.theta)
-    )
-    return BiasCheck(lhs=lhs, rhs=rhs)
+    return BiasCheck(lhs=float(report.lhs[0]), rhs=float(report.rhs[0]))
 
 
 @dataclass(frozen=True)
@@ -182,7 +161,7 @@ def bias_bound_grid(
     if stat_table is None:
         stat_table = m_step_stat_table(fam, thetas, constants.m)
     if mean_table is None:
-        mean_table = np.stack([mean_parameter(fam, t) for t in thetas])
+        mean_table = _in_blocks(fam, thetas, lambda t: mean_parameter(fam, t))
     lhs = np.linalg.norm(mean_table - np.einsum("s,gsd->gd", weights, stat_table), axis=1)
     dist = np.linalg.norm(thetas - checks.mle.theta, axis=1)
     rhs = constants.fluctuation_scale + constants.bias_coeff * dist

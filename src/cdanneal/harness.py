@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +44,12 @@ from .learner import (
     run_cd,
     weighted_average_series,
 )
-from .model import FiniteExpFamily, ParamBox, identifiability_report, mean_parameter
+from .model import FiniteExpFamily, ParamBox, _in_blocks, identifiability_report, mean_parameter
 from .oracle import (
     MleNonexistenceError,
     SampleChecks,
     TheoryConstants,
+    _scrub,
     assemble_constants,
     check_constraint_empirical_process,
     check_constraint_mle,
@@ -81,24 +82,6 @@ OCCUPANCY_TOL = 0.05
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _scrub(value):
-    """Make floats JSON-safe (inf/nan become strings) recursively."""
-    if isinstance(value, dict):
-        return {k: _scrub(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_scrub(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if math.isfinite(v) else repr(v)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return [_scrub(v) for v in value.tolist()]
-    return value
 
 
 def _column(values):
@@ -196,7 +179,7 @@ def _prepare_cells(
     theta_init = None if config.theta_init is None else np.asarray(config.theta_init, dtype=float)
     grid = box.grid(config.grid_per_axis)
     bounds = compute_grid_bounds(fam, box, theta_star, config.grid_per_axis)
-    mean_table = np.stack([mean_parameter(fam, t) for t in grid])
+    mean_table = _in_blocks(fam, grid, lambda t: mean_parameter(fam, t))
     stat_tables = {int(m): m_step_stat_table(fam, grid, int(m)) for m in config.m_values}
     constants = _constants_table(config, fam, box, bounds)
 
@@ -444,11 +427,7 @@ def _meta_dict(config: RunConfig, master_seed: int, task: CellTask, outcome: Cel
         "half_width": config.half_width,
         "theta_star": [float(v) for v in task.theta_star],
         "model": config.model,
-        "schedule": {
-            "kind": task.schedule.kind,
-            "eta0": task.schedule.eta0,
-            "exponent": task.schedule.exponent,
-        },
+        "schedule": asdict(task.schedule),
         "delta_tail_max": outcome.delta.tail_max,
         "delta_final": outcome.delta.final,
         "boundary_hit_count": int(np.sum(outcome.trajectory.boundary_hits)),
@@ -667,13 +646,7 @@ def verify_assumptions(config: RunConfig, out_dir=None) -> dict:
             "per_axis": bounds.grid_per_axis,
             "half_width": bounds.half_width,
         },
-        "schedule": {
-            "kind": config.schedule.kind,
-            "eta0": config.schedule.eta0,
-            "exponent": config.schedule.exponent,
-            "annealing_ok": annealing_ok,
-            "reason": reason,
-        },
+        "schedule": {**asdict(config.schedule), "annealing_ok": annealing_ok, "reason": reason},
         "smallest_admissible_m": any_constants.smallest_admissible_m,
         "constants": [constants[key].to_dict() for key in sorted(constants)],
     }

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FiniteExpFamily, _check_theta, state_probs
+from .model import FiniteExpFamily, _check_theta, _in_blocks, _per_point, _scores, state_probs
 
 __all__ = [
     "KernelMatrix",
@@ -21,6 +21,7 @@ __all__ = [
     "build_gibbs_random_scan",
     "estimate_zeta",
     "flip_tables",
+    "gibbs_kernels",
     "kernel_distance",
     "kernel_power",
     "kernel_to_csv",
@@ -32,14 +33,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """Row-stochastic transition matrix built at a fixed parameter."""
+    """Row-stochastic transition matrix at a parameter, or (G, S, S) at a stack (G, d)."""
 
     theta: np.ndarray
     probs: np.ndarray
-
-    @property
-    def n_states(self) -> int:
-        return self.probs.shape[0]
 
 
 class _GibbsTables:
@@ -76,17 +73,13 @@ def _gibbs_tables(fam: FiniteExpFamily) -> _GibbsTables:
     p = fam.n_coords
     if fam.n_states != 2**p:
         raise ValueError("Gibbs sampling requires the full product state space {0,1}^p")
-    index = {tuple(int(v) for v in row): i for i, row in enumerate(states)}
-    up = np.empty((fam.n_states, p), dtype=np.int64)
-    down = np.empty((fam.n_states, p), dtype=np.int64)
-    for s, row in enumerate(states):
-        for j in range(p):
-            key = list(int(v) for v in row)
-            key[j] = 1
-            up[s, j] = index[tuple(key)]
-            key[j] = 0
-            down[s, j] = index[tuple(key)]
-    tables = _GibbsTables(up, down)
+    bits = 1 << np.arange(p - 1, -1, -1)  # the bit of coordinate j in a state's code
+    code = states.astype(np.int64) @ bits
+    index = np.full(fam.n_states, -1)
+    index[code] = np.arange(fam.n_states)
+    if np.any(index < 0):
+        raise ValueError("Gibbs sampling requires distinct states covering {0,1}^p")
+    tables = _GibbsTables(index[code[:, None] | bits], index[code[:, None] & ~bits])
     _TABLE_CACHE[fam] = tables
     return tables
 
@@ -102,28 +95,38 @@ def flip_tables(fam: FiniteExpFamily) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_gibbs_random_scan(fam: FiniteExpFamily, theta) -> KernelMatrix:
-    """One step of random-scan Gibbs: average of the p single-site kernels.
+    """One step of random-scan Gibbs at theta, or at each theta of a stack (G, d).
 
-    A move out of s that sets coordinate j to the value of state y has
-    probability sigmoid(score(y) - score(y')) / p, with y' the state that
-    differs from y in coordinate j only.  The sigmoid is evaluated as
+    One step is the average of the p single-site kernels.  A move out of s
+    that sets coordinate j to the value of state y has probability
+    sigmoid(score(y) - score(y')) / p, with y' the state that differs from
+    y in coordinate j only.  The sigmoid is evaluated as
     exp(min(g, 0)) / (1 + exp(-|g|)), which never overflows and keeps full
     relative precision for move probabilities near 0.  Up and down targets
     can coincide with the source state, so the 2p moves of each row are
-    summed by one scatter.
+    summed by one scatter; every matrix of a stack gets the same bits as
+    when it is built alone.
     """
     theta = _check_theta(fam, theta)
     tables = _gibbs_tables(fam)
     n = fam.n_states
-    scores = fam.log_carrier + fam.suff_stats @ theta
-    gap = scores[tables.target] - scores[tables.other]
+    scores = _scores(fam, theta)
+    gap = scores.take(tables.target, axis=-1) - scores.take(tables.other, axis=-1)
     moves = np.exp(np.minimum(gap, 0.0)) / (1.0 + np.exp(-np.abs(gap))) / fam.n_coords
-    probs = np.bincount(tables.scatter, weights=moves, minlength=n * n).reshape(n, n)
-    return KernelMatrix(theta=theta, probs=probs)
+    scatter = tables.scatter
+    if theta.ndim == 2:  # matrix g fills the flat positions from g * n * n on
+        scatter = (np.arange(len(theta))[:, None] * (n * n) + scatter).reshape(-1)
+    probs = np.bincount(scatter, weights=moves.ravel(), minlength=theta.size // fam.dim * n * n)
+    return KernelMatrix(theta=theta, probs=probs.reshape(theta.shape[:-1] + (n, n)))
+
+
+def gibbs_kernels(fam: FiniteExpFamily, theta) -> np.ndarray:
+    """Gibbs transition matrices: (S, S) at one theta, (G, S, S) at a stack (G, d)."""
+    return build_gibbs_random_scan(fam, theta).probs
 
 
 def kernel_power(kernel: KernelMatrix, m: int) -> KernelMatrix:
-    """Exact m-step transition matrix."""
+    """Exact m-step transition matrix (of every matrix of a stack)."""
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
         raise ValueError("m must be an integer >= 1")
     if m == 1:
@@ -132,42 +135,43 @@ def kernel_power(kernel: KernelMatrix, m: int) -> KernelMatrix:
 
 
 def stationarity_violation(fam: FiniteExpFamily, kernel: KernelMatrix) -> float:
-    pi = state_probs(fam, kernel.theta)
+    pi = state_probs(fam, kernel.theta)[..., None, :]
     return float(np.max(np.abs(pi @ kernel.probs - pi)))
 
 
 def reversibility_violation(fam: FiniteExpFamily, kernel: KernelMatrix) -> float:
     pi = state_probs(fam, kernel.theta)
-    flow = pi[:, None] * kernel.probs
-    return float(np.max(np.abs(flow - flow.T)))
+    flow = pi[..., :, None] * kernel.probs
+    return float(np.max(np.abs(flow - np.swapaxes(flow, -1, -2))))
 
 
-def spectral_gap(fam: FiniteExpFamily, kernel: KernelMatrix, check_tol: float = 1e-8) -> float:
+def spectral_gap(fam: FiniteExpFamily, kernel: KernelMatrix, check_tol: float = 1e-8):
     """Second-largest absolute eigenvalue of the kernel on L2(pi).
 
     Computed from the symmetrized matrix D^{1/2} K D^{-1/2} with D the
     stationary distribution; that route is only valid for reversible
-    kernels, so detailed balance is verified first.
+    kernels, so detailed balance is verified first.  A float for one
+    kernel, an array of shape (G,) for a stack.
     """
     if reversibility_violation(fam, kernel) > check_tol:
         raise ValueError("kernel is not reversible; symmetric eigensolve is invalid")
-    pi = state_probs(fam, kernel.theta)
-    root = np.sqrt(pi)
-    sym = (root[:, None] / root[None, :]) * kernel.probs
-    sym = 0.5 * (sym + sym.T)
-    mags = np.sort(np.abs(np.linalg.eigvalsh(sym)))
-    return float(mags[-2])
+    root = np.sqrt(state_probs(fam, kernel.theta))
+    sym = (root[..., :, None] / root[..., None, :]) * kernel.probs
+    sym = 0.5 * (sym + np.swapaxes(sym, -1, -2))
+    mags = np.sort(np.abs(np.linalg.eigvalsh(sym)), axis=-1)
+    return _per_point(mags[..., -2])
 
 
-def kernel_distance(k1: KernelMatrix, k2: KernelMatrix) -> float:
+def kernel_distance(k1: KernelMatrix, k2: KernelMatrix):
     """Worst-case one-step disagreement, max_x sum_y |K1(x,y) - K2(x,y)|.
 
     The supremum over test functions bounded by 1 is attained by the sign
     pattern of the row difference, which reduces it to a row-wise L1 norm.
+    A float for two kernels, an array of shape (G,) for two stacks.
     """
     if k1.probs.shape != k2.probs.shape:
         raise ValueError("kernels act on different state spaces")
-    return float(np.max(np.sum(np.abs(k1.probs - k2.probs), axis=1)))
+    return _per_point(np.max(np.sum(np.abs(k1.probs - k2.probs), axis=-1), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -185,7 +189,7 @@ def estimate_zeta(fam: FiniteExpFamily, thetas, pairs=None) -> ZetaEstimate:
     ``thetas`` is an array of parameter points; ``pairs`` an optional index
     array of point pairs (consecutive points when omitted).  Coincident
     pairs are skipped.  The estimate is a lower bound that stabilizes under
-    grid refinement.
+    grid refinement.  Pairs are evaluated in blocks of stacked kernels.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if thetas.shape[0] < 2:
@@ -193,37 +197,34 @@ def estimate_zeta(fam: FiniteExpFamily, thetas, pairs=None) -> ZetaEstimate:
     if pairs is None:
         pairs = np.stack([np.arange(len(thetas) - 1), np.arange(1, len(thetas))], axis=1)
     pairs = np.asarray(pairs, dtype=np.int64)
-    kernels = [build_gibbs_random_scan(fam, t) for t in thetas]
-    best = 0.0
-    max_dist = 0.0
-    used = 0
-    for a, b in pairs:
-        sep = float(np.linalg.norm(thetas[a] - thetas[b]))
-        if sep < 1e-12:
-            continue
-        used += 1
-        max_dist = max(max_dist, sep)
-        quot = kernel_distance(kernels[a], kernels[b]) / sep
-        best = max(best, quot)
-    if used == 0:
+
+    def separation_and_distance(block):
+        a, b = thetas[block[:, 0]], thetas[block[:, 1]]
+        dist = kernel_distance(build_gibbs_random_scan(fam, a), build_gibbs_random_scan(fam, b))
+        return np.stack([np.linalg.norm(a - b, axis=1), dist], axis=1)
+
+    seps, dists = _in_blocks(fam, pairs, separation_and_distance).T
+    used = seps >= 1e-12
+    if not np.any(used):
         raise ValueError("all parameter pairs coincide")
-    return ZetaEstimate(zeta=best, max_pair_distance=max_dist, n_pairs=used)
+    seps, dists = seps[used], dists[used]
+    return ZetaEstimate(float(np.max(dists / seps)), float(np.max(seps)), len(seps))
 
 
 def m_step_stat_rows(fam: FiniteExpFamily, theta, m: int) -> np.ndarray:
     """Expected sufficient statistic after m steps from each start state.
 
     Row x holds the exact integral of phi against the m-step transition law
-    out of x, i.e. (K^m @ suff_stats)[x].
+    out of x, i.e. (K^m @ suff_stats)[x]; shape (S, d), or (G, S, d) for a
+    stack of G parameters.
     """
-    kernel = kernel_power(build_gibbs_random_scan(fam, theta), m)
-    return kernel.probs @ fam.suff_stats
+    return kernel_power(build_gibbs_random_scan(fam, theta), m).probs @ fam.suff_stats
 
 
 def m_step_stat_table(fam: FiniteExpFamily, thetas, m: int) -> np.ndarray:
-    """Stacked :func:`m_step_stat_rows` over a parameter grid, shape (G, S, d)."""
+    """:func:`m_step_stat_rows` over a parameter grid, shape (G, S, d), in blocks."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    return np.stack([m_step_stat_rows(fam, t, m) for t in thetas])
+    return _in_blocks(fam, thetas, lambda t: m_step_stat_rows(fam, t, m))
 
 
 def kernel_to_csv(fam: FiniteExpFamily, kernel: KernelMatrix, path) -> None:

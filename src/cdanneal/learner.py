@@ -86,18 +86,17 @@ class Schedule:
             raise ValueError("power schedule needs exponent in (1/2, 1]")
 
     def rate(self, t: int) -> float:
+        """eta_t, bit for bit the entry t of :meth:`rates`."""
         if t < 0:
             raise ValueError("t must be nonnegative")
-        if self.kind == "fixed":
-            return self.eta0
-        if self.kind == "harmonic":
-            return self.eta0 / (t + 1)
-        return self.eta0 / float(t + 1) ** self.exponent
+        return float(self._rates_at(np.array([t], dtype=float))[0])
 
     def rates(self, count: int) -> np.ndarray:
-        t = np.arange(count, dtype=float)
+        return self._rates_at(np.arange(count, dtype=float))
+
+    def _rates_at(self, t: np.ndarray) -> np.ndarray:
         if self.kind == "fixed":
-            return np.full(count, self.eta0)
+            return np.full(t.shape, self.eta0)
         if self.kind == "harmonic":
             return self.eta0 / (t + 1.0)
         return self.eta0 / (t + 1.0) ** self.exponent
@@ -221,21 +220,18 @@ def _guarded_run(
     theta = np.zeros(fam.dim) if theta_init is None else np.asarray(theta_init, dtype=float)
     if not box.contains(theta):
         raise ValueError("initial theta outside the parameter box")
+    etas = schedule.rates(steps + 1)
     thetas = np.empty((steps + 1, fam.dim))
     hits = np.empty(steps + 1, dtype=bool)
     thetas[0] = theta
     for t in range(steps):
         theta, hits[t] = _guarded_update(
-            fam, box, theta, schedule.rate(t), stat_bound,
-            functools.partial(gradient, t, theta, start),
+            fam, box, theta, etas[t], stat_bound, functools.partial(gradient, t, theta, start)
         )
         if not box.contains(theta):
             raise RuntimeError("guarded update left the parameter box")
         thetas[t + 1] = theta
-    hits[steps] = boundary_layer_contains(
-        box, thetas[steps], schedule.rate(steps), stat_bound, fam.dim
-    )
-    etas = schedule.rates(steps + 1)
+    hits[steps] = boundary_layer_contains(box, thetas[steps], etas[steps], stat_bound, fam.dim)
     return Trajectory(
         thetas=thetas,
         etas=etas,

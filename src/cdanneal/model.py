@@ -136,27 +136,60 @@ class ParamBox:
 
 
 def lattice_neighbor_pairs(per_axis: int, dim: int) -> np.ndarray:
-    """Index pairs of lattice points adjacent along one axis.
+    """Index pairs of lattice points adjacent along one axis, axis by axis.
 
     Indices refer to the flat ordering produced by :meth:`ParamBox.grid`.
     """
-    shape = (per_axis,) * dim
-    strides = [int(np.prod(shape[k + 1:])) for k in range(dim)]
-    pairs = []
-    for flat, digits in enumerate(itertools.product(range(per_axis), repeat=dim)):
-        for k in range(dim):
-            if digits[k] + 1 < per_axis:
-                pairs.append((flat, flat + strides[k]))
-    return np.asarray(pairs, dtype=np.int64)
+    index = np.arange(per_axis**dim).reshape((per_axis,) * dim)
+    lower = [np.delete(index, -1, axis=k).ravel() for k in range(dim)]
+    upper = [np.delete(index, 0, axis=k).ravel() for k in range(dim)]
+    return np.stack([np.concatenate(lower), np.concatenate(upper)], axis=1)
 
 
 def _check_theta(fam: FiniteExpFamily, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.shape[0] != fam.dim:
-        raise ValueError(f"theta has length {theta.shape[0]}, expected {fam.dim}")
-    if not np.all(np.isfinite(theta)):
+    """theta as floats: one point of shape (d,) or a stack of points (G, d)."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim < 2:
+        theta = theta.reshape(-1)
+    if theta.ndim > 2 or theta.shape[-1] != fam.dim:
+        raise ValueError(f"theta has shape {theta.shape}, expected ({fam.dim},) or (G, {fam.dim})")
+    if not np.isfinite(theta).all():
         raise ValueError("theta must be finite")
     return theta
+
+
+def _per_point(values: np.ndarray):
+    """A float for one parameter point, the array of values for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
+# Grid sweeps evaluate at most this many kernel entries (points * S**2) at
+# once: the stacked intermediates stay a few hundred kB whatever the grid.
+_BLOCK_ENTRIES = 2**14
+
+
+def _in_blocks(fam: FiniteExpFamily, items: np.ndarray, fn) -> np.ndarray:
+    """``fn`` over consecutive blocks of ``items`` (rows), results joined along axis 0."""
+    step = max(1, _BLOCK_ENTRIES // fam.n_states**2)
+    return np.concatenate([fn(items[i : i + step]) for i in range(0, len(items), step)])
+
+
+def _scores(fam: FiniteExpFamily, theta: np.ndarray) -> np.ndarray:
+    """log c(x) + theta . phi(x) per state at a checked theta, shape (S,) or (G, S)."""
+    # One matrix-vector product per point: the same bits alone and in a stack.
+    return fam.log_carrier + (fam.suff_stats @ theta[..., None])[..., 0]
+
+
+def _log_sum_exp(fam: FiniteExpFamily, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(top, scores - top, log sum exp(scores - top)), the reduced axis kept.
+
+    The max shift keeps exp from overflowing; the raw scores can reach
+    dim * half_width * stat_bound.
+    """
+    scores = _scores(fam, _check_theta(fam, theta))
+    top = scores.max(axis=-1, keepdims=True)
+    shifted = scores - top
+    return top, shifted, np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _index_array(items) -> np.ndarray:
@@ -179,23 +212,19 @@ def _data_indices(fam: FiniteExpFamily, data) -> np.ndarray:
     return items
 
 
-def log_partition(fam: FiniteExpFamily, theta) -> float:
+def log_partition(fam: FiniteExpFamily, theta):
     """Log normalizer A(theta) = log sum_x c(x) exp(theta . phi(x)).
 
-    Uses a max shift before exponentiating; the raw scores can reach
-    dim * half_width * stat_bound and overflow otherwise.
+    A float for theta of shape (d,), an array of shape (G,) for a stack.
     """
-    theta = _check_theta(fam, theta)
-    scores = fam.log_carrier + fam.suff_stats @ theta
-    top = float(np.max(scores))
-    return top + float(np.log(np.sum(np.exp(scores - top))))
+    top, _, lse = _log_sum_exp(fam, theta)
+    return _per_point((top + lse)[..., 0])
 
 
 def state_log_probs(fam: FiniteExpFamily, theta) -> np.ndarray:
-    theta = _check_theta(fam, theta)
-    scores = fam.log_carrier + fam.suff_stats @ theta
-    top = float(np.max(scores))
-    return scores - top - float(np.log(np.sum(np.exp(scores - top))))
+    """log p_theta(x) per state, shape (S,) or (G, S)."""
+    _, shifted, lse = _log_sum_exp(fam, theta)
+    return shifted - lse
 
 
 def state_probs(fam: FiniteExpFamily, theta) -> np.ndarray:
@@ -203,23 +232,23 @@ def state_probs(fam: FiniteExpFamily, theta) -> np.ndarray:
 
 
 def mean_parameter(fam: FiniteExpFamily, theta) -> np.ndarray:
-    """Gradient of the log normalizer, E_theta[phi(X)], by enumeration."""
-    return state_probs(fam, theta) @ fam.suff_stats
+    """Gradient of the log normalizer, E_theta[phi(X)], shape (d,) or (G, d)."""
+    return (state_probs(fam, theta)[..., None, :] @ fam.suff_stats)[..., 0, :]
 
 
-def fisher_info(fam: FiniteExpFamily, theta) -> tuple[np.ndarray, float]:
+def fisher_info(fam: FiniteExpFamily, theta):
     """Covariance of phi under p_theta and its smallest eigenvalue.
 
     The covariance equals the Hessian of the log normalizer; its smallest
     eigenvalue is returned alongside so callers can monitor how close the
-    family is to a degenerate (linearly dependent) parametrization.
+    family is to a degenerate (linearly dependent) parametrization.  A stack
+    of G points gives covariances (G, d, d) and eigenvalues (G,).
     """
     probs = state_probs(fam, theta)
-    centered = fam.suff_stats - probs @ fam.suff_stats
-    cov = (centered * probs[:, None]).T @ centered
-    cov = 0.5 * (cov + cov.T)
-    min_eig = float(np.linalg.eigvalsh(cov)[0])
-    return cov, min_eig
+    centered = fam.suff_stats - (probs[..., None, :] @ fam.suff_stats)
+    cov = np.swapaxes(centered * probs[..., None], -1, -2) @ centered
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    return cov, _per_point(np.linalg.eigvalsh(cov)[..., 0])
 
 
 def build_fvbm(p: int) -> FiniteExpFamily:
@@ -252,7 +281,7 @@ def family_from_json(doc: dict) -> FiniteExpFamily:
     if not isinstance(doc, dict):
         raise ValueError("model document must be a JSON object")
     if doc.get("type") == "fvbm":
-        return build_fvbm(int(doc["p"]))
+        return build_fvbm(doc["p"])
     if "states" not in doc or "phi" not in doc:
         raise ValueError("generic model document needs 'states' and 'phi'")
     states = np.asarray(doc["states"])
@@ -301,14 +330,9 @@ def identifiability_report(
     covariance singular at every theta; such families are reported rather
     than silently accepted.
     """
-    rng = np.random.default_rng(seed)
-    thetas = box.sample(rng, n_probes)
-    worst = np.inf
-    worst_theta = thetas[0]
-    for theta in thetas:
-        _, eig = fisher_info(fam, theta)
-        if eig < worst:
-            worst, worst_theta = eig, theta
+    thetas = box.sample(np.random.default_rng(seed), n_probes)
+    eigs = _in_blocks(fam, thetas, lambda t: fisher_info(fam, t)[1])
+    worst = int(np.argmin(eigs))
     return IdentifiabilityReport(
-        min_eigenvalue=float(worst), worst_theta=worst_theta, n_probes=n_probes, tol=tol
+        min_eigenvalue=float(eigs[worst]), worst_theta=thetas[worst], n_probes=n_probes, tol=tol
     )

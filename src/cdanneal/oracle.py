@@ -22,7 +22,9 @@ from .model import (
     FiniteExpFamily,
     ParamBox,
     _data_indices,
+    _in_blocks,
     _index_array,
+    _per_point,
     fisher_info,
     lattice_neighbor_pairs,
     log_partition,
@@ -67,11 +69,6 @@ class DataSample:
     @property
     def n(self) -> int:
         return self.items.size
-
-    def counts(self, fam: FiniteExpFamily) -> np.ndarray:
-        if self.items.max() >= fam.n_states:
-            raise ValueError("datum outside the state space")
-        return np.bincount(self.items, minlength=fam.n_states)
 
 
 def sample_iid(fam: FiniteExpFamily, theta_star, n: int, seed) -> DataSample:
@@ -278,13 +275,14 @@ def check_sample(
     )
 
 
-def root_chi_square_divergence(fam: FiniteExpFamily, theta_star, theta) -> float:
+def root_chi_square_divergence(fam: FiniteExpFamily, theta_star, theta):
     """Square root of the chi-square divergence of p_theta_star from p_theta.
 
     Equals sqrt(exp(A(theta) + A(2 theta_star - theta) - 2 A(theta_star)) - 1);
     the exponent is nonnegative by convexity of the log normalizer, and the
     reflected point 2 theta_star - theta may leave the box, which is fine
     because the log normalizer is finite everywhere on a finite state space.
+    A float for theta of shape (d,), an array of shape (G,) for a stack.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -293,7 +291,7 @@ def root_chi_square_divergence(fam: FiniteExpFamily, theta_star, theta) -> float
         + log_partition(fam, 2.0 * theta_star - theta)
         - 2.0 * log_partition(fam, theta_star)
     )
-    return math.sqrt(max(math.expm1(exponent), 0.0))
+    return _per_point(np.sqrt(np.maximum(np.expm1(exponent), 0.0)))
 
 
 def smallest_admissible_m(
@@ -315,6 +313,17 @@ def smallest_admissible_m(
         if m > 10_000:
             return None
     return m
+
+
+def _scrub(value):
+    """Make a value JSON-safe recursively: numpy values become Python ones, inf/nan strings."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {k: _scrub(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_scrub(v) for v in value]
+    return repr(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 @dataclass(frozen=True)
@@ -361,12 +370,7 @@ class TheoryConstants:
         return self.rate_coeff * float(n) ** (-(1.0 - 2.0 * self.gamma) / 3.0)
 
     def to_dict(self) -> dict:
-        def scrub(v):
-            if isinstance(v, float) and not math.isfinite(v):
-                return repr(v)
-            return v
-
-        return {
+        return _scrub({
             "stat_bound": self.stat_bound,
             "dim": self.dim,
             "min_fisher_eig": self.min_fisher_eig,
@@ -380,12 +384,12 @@ class TheoryConstants:
             "drift_coeff": self.drift_coeff,
             "fluctuation_scale": self.fluctuation_scale,
             "ball_factor": self.ball_factor,
-            "ball_radius": scrub(self.ball_radius),
-            "rate_coeff": scrub(self.rate_coeff),
+            "ball_radius": self.ball_radius,
+            "rate_coeff": self.rate_coeff,
             "hypotheses_met": self.hypotheses_met,
             "smallest_admissible_m": self.smallest_admissible_m,
             "grid": {"per_axis": self.grid_per_axis, "half_width": self.half_width},
-        }
+        })
 
 
 def _validate_gamma(gamma: float) -> None:
@@ -420,16 +424,16 @@ def compute_grid_bounds(
         raise ValueError("theta_star must be interior to the box")
     grid = box.grid(grid_per_axis)
     pairs = lattice_neighbor_pairs(grid_per_axis, box.dim)
-    min_eig = min(fisher_info(fam, t)[1] for t in grid)
-    fvals = np.array([root_chi_square_divergence(fam, theta_star, t) for t in grid])
+    eigs = _in_blocks(fam, grid, lambda t: fisher_info(fam, t)[1])
+    fvals = _in_blocks(fam, grid, lambda t: root_chi_square_divergence(fam, theta_star, t))
     seps = np.linalg.norm(grid[pairs[:, 0]] - grid[pairs[:, 1]], axis=1)
     lipschitz = float(np.max(np.abs(fvals[pairs[:, 0]] - fvals[pairs[:, 1]]) / seps))
-    mixing = max(spectral_gap(fam, build_gibbs_random_scan(fam, t)) for t in grid)
+    gaps = _in_blocks(fam, grid, lambda t: spectral_gap(fam, build_gibbs_random_scan(fam, t)))
     zeta = estimate_zeta(fam, grid, pairs).zeta
     return GridBounds(
-        min_fisher_eig=float(min_eig),
+        min_fisher_eig=float(np.min(eigs)),
         divergence_lipschitz=lipschitz,
-        mixing_bound=float(mixing),
+        mixing_bound=float(np.max(gaps)),
         kernel_lipschitz=float(zeta),
         grid_per_axis=grid_per_axis,
         half_width=box.half_width,

@@ -56,3 +56,58 @@ def enumerate_cd_moments(fam, theta, items, m, eta, center):
         total_prob += prob
     assert abs(total_prob - 1.0) < 1e-12
     return expected_grad, expected_sq
+
+
+def grid_bounds_per_point(fam, box, theta_star, per_axis):
+    """The four grid extrema of ``compute_grid_bounds``, one point at a time.
+
+    Probabilities, log normalizers, covariances and spectral gaps are summed
+    here directly; only the one-point Gibbs kernel comes from the package
+    (it has its own per-site reference in the kernel tests).
+    """
+    from cdanneal.kernel import build_gibbs_random_scan
+
+    theta_star = np.asarray(theta_star, dtype=float)
+    phi = fam.suff_stats
+
+    def log_z(theta):
+        scores = fam.log_carrier + phi @ theta
+        top = scores.max()
+        return top + math.log(np.exp(scores - top).sum())
+
+    def probs(theta):
+        return np.exp(fam.log_carrier + phi @ theta - log_z(theta))
+
+    grid = box.grid(per_axis)
+    pairs = [
+        (a, a + per_axis ** (box.dim - 1 - k))
+        for a, digits in enumerate(itertools.product(range(per_axis), repeat=box.dim))
+        for k in range(box.dim)
+        if digits[k] + 1 < per_axis
+    ]
+    min_eig, mixing, fvals, kernels = math.inf, 0.0, [], []
+    for theta in grid:
+        pi = probs(theta)
+        centered = phi - pi @ phi
+        cov = (centered * pi[:, None]).T @ centered
+        min_eig = min(min_eig, np.linalg.eigvalsh(0.5 * (cov + cov.T))[0])
+        exponent = log_z(theta) + log_z(2.0 * theta_star - theta) - 2.0 * log_z(theta_star)
+        fvals.append(math.sqrt(max(math.expm1(exponent), 0.0)))
+        kernel = build_gibbs_random_scan(fam, theta).probs
+        kernels.append(kernel)
+        root = np.sqrt(pi)
+        sym = root[:, None] * kernel / root[None, :]
+        mags = sorted(abs(v) for v in np.linalg.eigvalsh(0.5 * (sym + sym.T)))
+        mixing = max(mixing, mags[-2])
+    lipschitz = zeta = 0.0
+    for a, b in pairs:
+        sep = math.sqrt(sum((x - y) ** 2 for x, y in zip(grid[a], grid[b])))
+        lipschitz = max(lipschitz, abs(fvals[a] - fvals[b]) / sep)
+        rows = np.abs(kernels[a] - kernels[b]).sum(axis=1)
+        zeta = max(zeta, rows.max() / sep)
+    return {
+        "min_fisher_eig": min_eig,
+        "divergence_lipschitz": lipschitz,
+        "mixing_bound": mixing,
+        "kernel_lipschitz": zeta,
+    }

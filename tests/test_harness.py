@@ -23,6 +23,8 @@ from cdanneal.learner import Schedule
 # Three states on one coordinate: enumerable, but not {0,1}^p, so random-scan
 # Gibbs cannot resample it.
 THREE_STATE_MODEL = {"states": [[0], [1], [2]], "phi": [[0], [1], [2]]}
+# Two states for one binary coordinate, but the same state twice.
+DUPLICATE_STATE_MODEL = {"states": [[0], [0]], "phi": [[0.0], [1.0]]}
 # FVBM p = 4 has dim 10, so 9 points per axis would be 9**10 (about 3.5e9).
 HUGE_GRID = {"model": {"type": "fvbm", "p": 4}, "theta_star": [0.0] * 10, "grid_per_axis": 9}
 
@@ -87,6 +89,18 @@ class TestRunConfig:
             {"tail_fraction": 0.0},
             {"grid_per_axis": 1},
             {"theta_init": [4.0, 0.0, 0.0]},
+            {"grid_per_axis": "3"},
+            {"grid_per_axis": 3.7},
+            {"gamma": "0.4"},
+            {"theta_init": "abc"},
+            {"iterations": 20.9},
+            {"iterations": True, "burn_in": 0},
+            {"seeds": [0.5]},
+            {"m_values": [2.5]},
+            {"n_values": [60.5]},
+            {"exact_step_checks": "no"},
+            {"model": {"type": "fvbm", "p": 2.5}},
+            {"model": DUPLICATE_STATE_MODEL, "theta_star": [0.3]},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -100,6 +114,15 @@ class TestRunConfig:
     def test_bad_schedule_rejected(self):
         doc = small_config().to_dict()
         doc["schedule"] = {"kind": "power", "eta0": 1.0, "exponent": 0.4}
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "fields", [{"eta0": "2.0"}, {"eta0": None}, {"eta0": [1.0]}, {"eta0": True}, {"eta": 2.0}]
+    )
+    def test_mistyped_schedule_rejected(self, fields):
+        doc = small_config().to_dict()
+        doc["schedule"].update(fields)
         with pytest.raises(ConfigError):
             RunConfig.from_dict(doc)
 

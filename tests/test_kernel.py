@@ -11,6 +11,7 @@ from cdanneal.kernel import (
     build_gibbs_random_scan,
     estimate_zeta,
     flip_tables,
+    gibbs_kernels,
     kernel_distance,
     kernel_power,
     kernel_to_csv,
@@ -67,6 +68,22 @@ class TestGibbsConstruction:
             assert np.all(np.isfinite(probs))
             np.testing.assert_allclose(probs, _per_site_kernel(fam, theta), rtol=0, atol=1e-14)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_stack_matches_one_point_builds(self, p):
+        fam = build_fvbm(p)
+        rng = np.random.default_rng(200 + p)
+        thetas = np.concatenate(
+            [
+                rng.uniform(-3, 3, size=(40, fam.dim)),
+                rng.choice([-30.0, 30.0], size=(8, fam.dim)),
+                [np.full(fam.dim, 30.0), np.full(fam.dim, -30.0)],
+            ]
+        )
+        stack = gibbs_kernels(fam, thetas)
+        assert stack.shape == (len(thetas), fam.n_states, fam.n_states)
+        for theta, probs in zip(thetas, stack):
+            np.testing.assert_array_equal(probs, build_gibbs_random_scan(fam, theta).probs)
 
     @pytest.mark.parametrize("theta", [30.0, -30.0])
     def test_small_tail_keeps_relative_precision(self, fvbm1, theta):

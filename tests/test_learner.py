@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdanneal import learner
 from cdanneal.diagnostics import cd_conditional_moments
 from cdanneal.kernel import build_gibbs_random_scan, kernel_power, m_step_stat_rows
 from cdanneal.learner import (
@@ -24,7 +25,7 @@ from cdanneal.learner import (
     weighted_average,
     weighted_average_series,
 )
-from cdanneal.model import ParamBox, mean_parameter
+from cdanneal.model import ParamBox, boundary_layer_contains, mean_parameter
 from cdanneal.oracle import mle, sample_iid
 
 
@@ -38,6 +39,14 @@ class TestSchedule:
     def test_power_rates(self):
         sch = Schedule("power", 1.0, exponent=0.6)
         assert sch.rate(7) == pytest.approx(8.0**-0.6)
+
+    @pytest.mark.parametrize(
+        "kind, exponent", [("fixed", 1.0), ("harmonic", 1.0), ("power", 0.75), ("power", 0.6)]
+    )
+    def test_rate_is_the_entry_of_rates(self, kind, exponent):
+        sch = Schedule(kind, 2.0, exponent=exponent)
+        rates = sch.rates(20_000)
+        assert all(sch.rate(t) == rates[t] for t in range(len(rates)))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -377,6 +386,21 @@ class TestExactGradient:
         result = mle(fvbm2, data, box3)
         new, _ = exact_gradient_step(fvbm2, box3, result.theta, data.items, 0.7)
         np.testing.assert_allclose(new, result.theta, atol=1e-9)
+
+    def test_guard_sees_the_stored_rates(self, fvbm2, box3, theta_star, monkeypatch):
+        # the guard (and the update, which takes the same eta) of step t
+        # must use traj.etas[t] bit for bit; power rates show a mismatch
+        seen = []
+
+        def spy(box, theta, eta_t, stat_bound, dim):
+            seen.append(eta_t)
+            return boundary_layer_contains(box, theta, eta_t, stat_bound, dim)
+
+        monkeypatch.setattr(learner, "boundary_layer_contains", spy)
+        data = sample_iid(fvbm2, theta_star, 200, seed=11)
+        schedule = Schedule("power", 2.0, exponent=0.75)
+        traj = run_exact_gradient(fvbm2, box3, schedule, data.items, steps=400)
+        assert seen == traj.etas.tolist()
 
     def test_converges_to_newton_mle(self, fvbm1):
         box = ParamBox(3.0, 1)

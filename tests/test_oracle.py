@@ -1,13 +1,15 @@
 """Sampling, MLE, sample-constraint and theory-constant checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from _bruteforce import grid_bounds_per_point
 from cdanneal.kernel import kernel_power, build_gibbs_random_scan
 from cdanneal.learner import cd_gradient, counter_rng
-from cdanneal.model import ParamBox, state_probs
+from cdanneal.model import ParamBox, build_fvbm, state_probs
 from cdanneal.oracle import (
     DataSample,
     MleNonexistenceError,
@@ -315,3 +317,33 @@ class TestConstants:
         import json
 
         json.dumps(doc)
+
+
+P3_THETA_STAR = [0.5, 0.2, 1.0, 0.3, 0.1, 0.5]
+
+
+class TestGridBoundsInBlocks:
+    @pytest.mark.parametrize(
+        "p, half_width, theta_star, per_axis",
+        [(2, 3.0, [0.5, 1.0, 0.5], 9), (3, 1.25, P3_THETA_STAR, 4)],
+        ids=["p2_9_per_axis", "p3_4_per_axis"],
+    )
+    def test_matches_per_point_reference(self, p, half_width, theta_star, per_axis):
+        fam = build_fvbm(p)
+        box = ParamBox(half_width, fam.dim)
+        bounds = compute_grid_bounds(fam, box, theta_star, per_axis)
+        reference = grid_bounds_per_point(fam, box, theta_star, per_axis)
+        for key, want in reference.items():
+            assert getattr(bounds, key) == pytest.approx(want, rel=1e-12, abs=0.0), key
+
+    def test_peak_memory_stays_bounded(self):
+        # 4096 points of 8 states: the whole grid at once peaks near 20 MB
+        fam = build_fvbm(3)
+        box = ParamBox(1.25, fam.dim)
+        tracemalloc.start()
+        try:
+            compute_grid_bounds(fam, box, P3_THETA_STAR, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
