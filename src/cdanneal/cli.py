@@ -33,11 +33,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_out=True):
+    def common(p):
         p.add_argument("--config", help="JSON run configuration (defaults built in)")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        if need_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--workers", type=int, default=1, help="parallel cell workers")
 
     p_run = sub.add_parser("run", help="run the experiment grid and persist results")

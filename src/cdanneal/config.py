@@ -18,7 +18,7 @@ import numpy as np
 
 from .kernel import flip_tables
 from .learner import Schedule
-from .model import FiniteExpFamily, ParamBox, family_from_json
+from .model import FiniteExpFamily, ParamBox, _in_blocks, family_from_json, state_log_probs
 
 __all__ = ["MAX_GRID_POINTS", "ConfigError", "RunConfig", "default_config"]
 
@@ -27,6 +27,9 @@ __all__ = ["MAX_GRID_POINTS", "ConfigError", "RunConfig", "default_config"]
 # checks each sweep every point, so the budget bounds memory and time before
 # anything is built.
 MAX_GRID_POINTS = 2**16
+
+# log of the smallest normal double: a state probability below it underflows.
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 class ConfigError(ValueError):
@@ -50,6 +53,23 @@ def _is_int_list(values, low: int) -> bool:
     return isinstance(values, (list, tuple)) and len(values) > 0 and all(
         _is_int(v) and v >= low for v in values
     )
+
+
+def _check_double_range(fam: FiniteExpFamily, box: ParamBox) -> None:
+    """Refuse a box on which a state probability underflows a normal double.
+
+    log p_theta(x) is concave in theta, so its minimum over the box sits at a
+    grid corner; within the grid budget there are at most MAX_GRID_POINTS
+    corners.  The same bound keeps the chi-square divergence finite:
+    1 + chi2 = sum_x p_star(x)**2 / p_theta(x) <= 1 / min_x p_theta(x), so
+    its exponent stays below -log(tiny) < log(max double).
+    """
+    low = _in_blocks(fam, box.grid(2), lambda t: state_log_probs(fam, t).min(axis=1)).min()
+    if low < _LOG_TINY:
+        raise ConfigError(
+            f"half_width {box.half_width} is too wide for exact sums in double precision: at a "
+            f"grid corner a state probability underflows (log p = {low:.6g} < {_LOG_TINY:.6g})"
+        )
 
 
 @dataclass
@@ -117,6 +137,7 @@ class RunConfig:
                 f"grid_per_axis ** dim = {self.grid_per_axis} ** {fam.dim} exceeds "
                 f"the budget of {MAX_GRID_POINTS} grid points"
             )
+        _check_double_range(fam, box)
         if not (_is_real(self.tail_fraction) and 0.0 < self.tail_fraction <= 1.0):
             raise ConfigError("tail_fraction must lie in (0, 1]")
         if self.theta_init is not None:

@@ -94,6 +94,19 @@ def expected_sq_distance_after_step(
     return float(np.sum(drifted**2) + eta**2 * var_trace)
 
 
+def _expected_sq_series(fam: FiniteExpFamily, box: ParamBox, traj: Trajectory, data, center):
+    """E[|theta_{t+1} - center|^2 | theta_t] for every step t of a trajectory."""
+    items = _data_indices(fam, data)
+    thetas, etas = traj.thetas, traj.etas
+    return np.array(
+        [
+            expected_sq_distance_after_step(fam, box, thetas[t], etas[t], items, traj.m, center)
+            for t in range(traj.steps)
+        ],
+        dtype=float,
+    )
+
+
 @dataclass(frozen=True)
 class BiasCheck:
     lhs: float
@@ -213,27 +226,20 @@ def drift_report(
     """
     if traj.m != constants.m:
         raise ValueError("trajectory and constants disagree on the chain length m")
-    items = _data_indices(fam, data)
     center = checks.mle.theta
     steps = traj.steps
     h = np.linalg.norm(traj.thetas[:steps] - center, axis=1)
     in_layer = traj.boundary_hits[:steps].copy()
-    lhs = np.empty(steps)
-    rhs = np.empty(steps)
+    etas = traj.etas[:steps]
     a, b = constants.drift_coeff, constants.fluctuation_scale
     four_dc2 = 4.0 * fam.dim * fam.stat_bound**2
-    for t in range(steps):
-        eta = traj.etas[t]
-        lhs[t] = expected_sq_distance_after_step(
-            fam, box, traj.thetas[t], eta, items, traj.m, center
-        )
-        guard = 0.0 if in_layer[t] else 1.0
-        rhs[t] = h[t] ** 2 - 2.0 * eta * (a * h[t] ** 2 - b * h[t]) * guard + four_dc2 * eta**2
+    guard = np.where(in_layer, 0.0, 1.0)
+    rhs = h**2 - 2.0 * etas * (a * h**2 - b * h) * guard + four_dc2 * etas**2
     in_ball = h <= constants.ball_radius
     return DriftReport(
         t=np.arange(steps),
         h=h,
-        lhs=lhs,
+        lhs=_expected_sq_series(fam, box, traj, data, center),
         rhs=rhs,
         in_layer=in_layer,
         in_ball=in_ball,
@@ -308,7 +314,6 @@ def martingale_report(
         raise HypothesesUnmetError("drift coefficient not positive; ball undefined")
     if traj.m != constants.m:
         raise ValueError("trajectory and constants disagree on the chain length m")
-    items = _data_indices(fam, data)
     center = checks.mle.theta
     steps = traj.steps
     h = np.linalg.norm(traj.thetas - center, axis=1)
@@ -330,14 +335,7 @@ def martingale_report(
 
     cond_out = cond_in = None
     if exact:
-        cond_diff = np.empty(steps)
-        for t in range(steps):
-            cond_diff[t] = (
-                expected_sq_distance_after_step(
-                    fam, box, traj.thetas[t], etas[t], items, traj.m, center
-                )
-                - h2[t]
-            )
+        cond_diff = _expected_sq_series(fam, box, traj, data, center) - h2[:steps]
         cond_out = cond_diff + etas * drift_out - four_dc2 * etas**2
         cond_in = cond_diff - etas * drift_in - four_dc2 * etas**2
 

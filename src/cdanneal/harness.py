@@ -5,10 +5,12 @@ cell samples data, runs the guarded CD iteration, measures the tail error
 of the weighted average and, when requested, re-verifies the per-step
 drift, super-martingale and bias bounds exactly.  ``run`` and ``diagnose``
 share one pipeline: ``_prepare_cells`` builds every cell's inputs from the
-configuration and ``evaluate_cell`` checks a trajectory, whether it was
-just computed or read back from disk.  All outputs are plain CSV and JSON
-written with round-trip float formatting, so a rerun with the same
-configuration and master seed is byte identical.
+configuration (the data once per sample size and replicate, the sample
+checks and their MLE once per cell through ``oracle.check_sample``) and
+``evaluate_cell`` checks a trajectory, whether it was just computed or read
+back from disk.  All outputs are plain CSV and JSON written with round-trip
+float formatting, so a rerun with the same configuration and master seed is
+byte identical.
 """
 
 from __future__ import annotations
@@ -51,10 +53,8 @@ from .oracle import (
     TheoryConstants,
     _scrub,
     assemble_constants,
-    check_constraint_empirical_process,
-    check_constraint_mle,
+    check_sample,
     compute_grid_bounds,
-    mle,
     sample_iid,
 )
 
@@ -144,17 +144,14 @@ class CellTask:
 
 @dataclass
 class CellOutcome:
-    label: str
-    n: int
-    m: int
-    replicate: int
+    """What evaluating a cell's trajectory computed; the cell itself is its ``CellTask``."""
+
     trajectory: Trajectory
     delta: TailDistance
     drift: DriftReport | None
     martingale: MartingaleReport | None
     occupancy: OccupancyReport | None
     bias: BiasGridReport | None
-    mle_exists: bool
 
 
 def _constants_table(config: RunConfig, fam, box, bounds) -> dict:
@@ -170,8 +167,9 @@ def _prepare_cells(
 ) -> tuple[list[CellTask], dict]:
     """Every cell's inputs, in run order, and the (n, m) constants table.
 
-    The grid tables are shared by all cells, the data and its MLE by the
-    cells of one (n, replicate), the sample checks by one cell.
+    The grid tables are shared by all cells and the data by the cells of one
+    (n, replicate); each cell's sample checks, its MLE included, come from
+    ``check_sample``.  A cell whose sample has no MLE gets no checks.
     """
     fam = config.build_family()
     box = config.build_box()
@@ -188,24 +186,13 @@ def _prepare_cells(
         for rep in sorted(int(s) for s in config.seeds):
             data_seed = [master_seed, rep, n, RNG_STREAM_DATA]
             data = sample_iid(fam, theta_star, n, seed=data_seed)
-            try:
-                mle_result = mle(fam, data, box)
-            except MleNonexistenceError:
-                mle_result = None
             for m in sorted(int(v) for v in config.m_values):
-                checks = None
-                if mle_result is not None:
-                    checks = SampleChecks(
-                        mle=mle_result,
-                        mle_check=check_constraint_mle(
-                            fam, data, theta_star, config.gamma, box, mle_result=mle_result
-                        ),
-                        empirical_check=check_constraint_empirical_process(
-                            fam, data, theta_star, m, config.gamma, grid, stat_table=stat_tables[m]
-                        ),
-                        gamma=config.gamma,
-                        m=m,
+                try:
+                    checks = check_sample(
+                        fam, box, data, theta_star, m, config.gamma, grid, stat_table=stat_tables[m]
                     )
+                except MleNonexistenceError:
+                    checks = None
                 tasks.append(
                     CellTask(
                         fam=fam,
@@ -253,17 +240,12 @@ def evaluate_cell(task: CellTask, traj: Trajectory) -> CellOutcome:
             mart = martingale_report(task.fam, task.box, traj, task.items, task.constants, checks)
             occ = occupancy_report(traj, task.constants, checks.mle.theta)
     return CellOutcome(
-        label=task.label,
-        n=task.n,
-        m=task.m,
-        replicate=task.replicate,
         trajectory=traj,
         delta=delta_n(traj, task.theta_star, task.tail_fraction),
         drift=drift,
         martingale=mart,
         occupancy=occ,
         bias=bias,
-        mle_exists=checks is not None,
     )
 
 
@@ -303,8 +285,8 @@ def _trajectory_csv(traj: Trajectory, theta_star: np.ndarray, mle_theta) -> str:
     dist_to_mle = np.full(rows, np.nan)
     dist_to_true = np.full(rows, np.nan)
     if mle_theta is not None:
-        dist_to_mle[tail] = [np.linalg.norm(avg - mle_theta) for avg in traj.weighted_avgs]
-    dist_to_true[tail] = [np.linalg.norm(avg - theta_star) for avg in traj.weighted_avgs]
+        dist_to_mle[tail] = np.linalg.norm(traj.weighted_avgs - mle_theta, axis=1)
+    dist_to_true[tail] = np.linalg.norm(traj.weighted_avgs - theta_star, axis=1)
     header = (
         ["t", "eta_t"]
         + [f"theta_{j + 1}" for j in range(d)]
@@ -331,14 +313,14 @@ def _martingale_entry(report: MartingaleReport, which: str) -> dict:
     }
 
 
-def _diagnostic_entries(outcome: CellOutcome) -> list[dict]:
+def _diagnostic_entries(task: CellTask, outcome: CellOutcome) -> list[dict]:
     """One entry per check; a check that did not run records why."""
     drift, bias, mart, occ = outcome.drift, outcome.bias, outcome.martingale, outcome.occupancy
     no_drift = "drift coefficient not positive or skipped"
     table = [
         (
             "drift",
-            "skipped" if outcome.mle_exists else "mle does not exist",
+            "skipped" if task.checks is not None else "mle does not exist",
             None if drift is None else {
                 "steps": len(drift.t),
                 "violations": drift.violations,
@@ -383,7 +365,7 @@ def _diagnostic_entries(outcome: CellOutcome) -> list[dict]:
     ]
 
 
-def _write_cell_diagnostics(cell_dir: Path, outcome: CellOutcome) -> list[dict]:
+def _write_cell_diagnostics(cell_dir: Path, task: CellTask, outcome: CellOutcome) -> list[dict]:
     """Write a cell's diagnostics.json and the per-step CSV of every check that ran."""
     drift, mart = outcome.drift, outcome.martingale
     if drift is not None:
@@ -406,7 +388,7 @@ def _write_cell_diagnostics(cell_dir: Path, outcome: CellOutcome) -> list[dict]:
                  *conds],
             ),
         )
-    entries = _diagnostic_entries(outcome)
+    entries = _diagnostic_entries(task, outcome)
     _write(cell_dir / "diagnostics.json", _json_text(_scrub(entries)))
     return entries
 
@@ -515,6 +497,8 @@ def _svg_chart(series: list[tuple[str, np.ndarray, np.ndarray]]) -> str:
 
 @dataclass
 class ExperimentResult:
+    """``deltas`` maps (n, m) to the tail errors of its cells, in replicate order."""
+
     out_dir: Path
     deltas: dict
     constants: dict
@@ -551,17 +535,19 @@ def run_experiment(
     outcomes = _map_tasks(tasks, workers)
     theta_star = tasks[0].theta_star
 
-    deltas: dict = {}
     for task, outcome in zip(tasks, outcomes):
-        cell_dir = out / "cells" / outcome.label
+        cell_dir = out / "cells" / task.label
         mle_theta = task.checks.mle.theta if task.checks is not None else None
         _write(cell_dir / "trajectory.csv", _trajectory_csv(outcome.trajectory, theta_star, mle_theta))
         _write(cell_dir / "meta.json", _json_text(_scrub(_meta_dict(config, master_seed, task, outcome))))
-        _write_cell_diagnostics(cell_dir, outcome)
-        deltas.setdefault((outcome.n, outcome.m), {})[outcome.replicate] = outcome.delta.tail_max
+        _write_cell_diagnostics(cell_dir, task, outcome)
 
+    groups: dict = {}  # (n, m) -> its (task, outcome) pairs in replicate order
+    for task, outcome in sorted(zip(tasks, outcomes), key=lambda pair: pair[0].replicate):
+        groups.setdefault((task.n, task.m), []).append((task, outcome))
+    deltas = {key: np.array([o.delta.tail_max for _, o in cell]) for key, cell in groups.items()}
     _write_constraint_report(out, tasks)
-    series = _write_plot_data(out, outcomes, theta_star, constants, deltas)
+    series = _write_plot_data(out, groups, theta_star, constants, deltas)
     if svg:
         _write(out / "plots" / "convergence.svg", _svg_chart(series))
     return ExperimentResult(out_dir=out, deltas=deltas, constants=constants, outcomes=outcomes)
@@ -589,21 +575,21 @@ def _write_constraint_report(out: Path, tasks: list[CellTask]) -> None:
     )
 
 
-def _write_plot_data(out, outcomes, theta_star, constants, deltas) -> list:
+def _write_plot_data(out, groups, theta_star, constants, deltas) -> list:
     """Write the plot CSVs; return the median distance series of each (n, m) for the chart."""
     series, rows = [], []
-    for n, m in sorted(deltas):
-        cell = [o for o in outcomes if o.n == n and o.m == m]
-        ts = np.arange(cell[0].trajectory.burn_in, cell[0].trajectory.steps + 1)
+    for (n, m), cell in sorted(groups.items()):
+        first = cell[0][1].trajectory
+        ts = np.arange(first.burn_in, first.steps + 1)
         dist = np.stack(
-            [np.linalg.norm(o.trajectory.weighted_avgs - theta_star, axis=1) for o in cell]
+            [np.linalg.norm(o.trajectory.weighted_avgs - theta_star, axis=1) for _, o in cell]
         )
         _write(
             out / "plots" / f"avg_distance_n{n}_m{m}.csv",
-            _csv(["t"] + [f"s{o.replicate}" for o in cell], [ts, *dist]),
+            _csv(["t"] + [f"s{task.replicate}" for task, _ in cell], [ts, *dist]),
         )
         series.append((f"n={n} m={m}", ts, np.median(dist, axis=0)))
-        values = np.array([deltas[(n, m)][r] for r in sorted(deltas[(n, m)])])
+        values = deltas[(n, m)]
         bound = constants[(n, m)].rate_bound(n)
         q25, q75 = np.quantile(values, 0.25), np.quantile(values, 0.75)
         rows.append((n, m, np.median(values), q25, q75, bound, envelope_coverage(values, bound)))
@@ -687,10 +673,7 @@ def rate_sweep(config: RunConfig, out_dir, master_seed: int = 0, workers: int = 
     verdict = {"per_m": {}, "slope_gap": None, "ok": False}
     slopes = {}
     for m in sorted(int(v) for v in config.m_values):
-        deltas_by_n = {
-            n: np.array([run.deltas[(n, m)][r] for r in sorted(run.deltas[(n, m)])])
-            for n in sorted(int(v) for v in config.n_values)
-        }
+        deltas_by_n = {n: run.deltas[(n, m)] for n in sorted(int(v) for v in config.n_values)}
         coeffs = {n: run.constants[(n, m)].rate_coeff for n in deltas_by_n}
         fit = rate_fit(deltas_by_n, rate_coeffs=coeffs, gamma=config.gamma)
         fits[m] = fit
@@ -840,7 +823,7 @@ def diagnose_run(out_dir) -> DiagnoseResult:
 
     cells = []
     for task, traj in zip(tasks, trajectories):
-        entries = _write_cell_diagnostics(cells_dir / task.label, evaluate_cell(task, traj))
+        entries = _write_cell_diagnostics(cells_dir / task.label, task, evaluate_cell(task, traj))
         violations = sum(e["violations"] for e in entries if e.get("hypotheses_met"))
         cells.append({"cell": task.label, "violations": violations, "ok": violations == 0})
     all_ok = all(cell["ok"] for cell in cells)

@@ -242,7 +242,7 @@ def _guarded_run(
         n=int(items.size),
         master_seed=master_seed,
         replicate=replicate,
-        data_id=data_id or getattr(data, "data_id", ""),
+        data_id=data_id,
     )
 
 

@@ -8,7 +8,7 @@ these values can serve as oracles for the stochastic learner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -370,26 +370,9 @@ class TheoryConstants:
         return self.rate_coeff * float(n) ** (-(1.0 - 2.0 * self.gamma) / 3.0)
 
     def to_dict(self) -> dict:
-        return _scrub({
-            "stat_bound": self.stat_bound,
-            "dim": self.dim,
-            "min_fisher_eig": self.min_fisher_eig,
-            "divergence_lipschitz": self.divergence_lipschitz,
-            "mixing_bound": self.mixing_bound,
-            "kernel_lipschitz": self.kernel_lipschitz,
-            "gamma": self.gamma,
-            "m": self.m,
-            "n": self.n,
-            "bias_coeff": self.bias_coeff,
-            "drift_coeff": self.drift_coeff,
-            "fluctuation_scale": self.fluctuation_scale,
-            "ball_factor": self.ball_factor,
-            "ball_radius": self.ball_radius,
-            "rate_coeff": self.rate_coeff,
-            "hypotheses_met": self.hypotheses_met,
-            "smallest_admissible_m": self.smallest_admissible_m,
-            "grid": {"per_axis": self.grid_per_axis, "half_width": self.half_width},
-        })
+        doc = asdict(self)
+        grid = {"per_axis": doc.pop("grid_per_axis"), "half_width": doc.pop("half_width")}
+        return _scrub({**doc, "hypotheses_met": self.hypotheses_met, "grid": grid})
 
 
 def _validate_gamma(gamma: float) -> None:

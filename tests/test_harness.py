@@ -141,6 +141,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="budget"):
             small_config(**fvbm1, grid_per_axis=MAX_GRID_POINTS + 1)
 
+    def test_box_whose_probabilities_underflow_rejected(self):
+        # p = 2: at the corner theta = (w, w, w) state 00 has log p = -3w, which
+        # drops below the log of the smallest normal double (-708.4) once w > 236.13.
+        small_config(half_width=236.0)
+        with pytest.raises(ConfigError, match="underflows"):
+            small_config(half_width=237.0)
+
     def test_generic_model_document(self):
         config = RunConfig(
             model={"states": [[0], [1]], "phi": [[0.0], [1.0]]},
@@ -212,6 +219,17 @@ class TestRunExperiment:
         summary = (out / "plots" / "delta_vs_n.csv").read_text().strip().split("\n")
         assert summary[0] == "n,m,median_delta,q25,q75,rate_bound,coverage"
         assert len(summary) == 2
+
+    def test_trajectory_distances_match_plot_data(self, run_dir):
+        out, _ = run_dir
+        plot_csv = out / "plots" / "avg_distance_n60_m1.csv"
+        plot = [line.split(",") for line in plot_csv.read_text().split()]
+        for rep in (0, 1):
+            path = out / "cells" / f"n60_m1_s{rep}" / "trajectory.csv"
+            rows = [line.split(",") for line in path.read_text().split()]
+            dist_to_true = [row[rows[0].index("dist_to_true")] for row in rows[1:]]
+            column = [row[plot[0].index(f"s{rep}")] for row in plot[1:]]
+            assert dist_to_true == ["nan"] * (len(rows) - 1 - len(column)) + column
 
     def test_coverage_is_nan_against_an_infinite_bound(self, run_dir):
         # half-width 3 with m = 1: the drift coefficient is not positive
@@ -432,7 +450,15 @@ class TestCli:
         notjson.write_text("{oops")
         assert cli.main(["verify", "--config", str(notjson), "--out", str(tmp_path / "o2")]) == 2
 
-    @pytest.mark.parametrize("overrides", [{"model": THREE_STATE_MODEL, "theta_star": [0.3]}, HUGE_GRID])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"model": THREE_STATE_MODEL, "theta_star": [0.3]},
+            HUGE_GRID,
+            {"half_width": 240.0},
+            {"half_width": 250.0},
+        ],
+    )
     def test_unrunnable_config_exits_two_without_traceback(self, tmp_path, capsys, overrides):
         doc = dict(small_config().to_dict(), **overrides)
         path = tmp_path / "config.json"
