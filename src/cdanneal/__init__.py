@@ -6,9 +6,7 @@ from .diagnostics import (
     HypothesesUnmetError,
     bias_bound_grid,
     cd_conditional_moments,
-    check_bias_bound,
     drift_report,
-    exact_expected_cd_gradient,
     expected_sq_distance_after_step,
     martingale_report,
     occupancy_report,
@@ -29,13 +27,9 @@ from .kernel import (
 from .learner import (
     Schedule,
     Trajectory,
-    cd_gradient,
-    cd_step,
     delta_n,
-    exact_gradient_step,
     run_cd,
     run_exact_gradient,
-    weighted_average,
     weighted_average_series,
 )
 from .model import (
@@ -57,10 +51,9 @@ from .oracle import (
     check_constraint_empirical_process,
     check_constraint_mle,
     check_sample,
-    compute_constants,
     mle,
     root_chi_square_divergence,
     sample_iid,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

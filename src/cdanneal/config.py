@@ -128,8 +128,10 @@ class RunConfig:
             raise ConfigError("gamma must lie strictly between 0 and 1/2")
         if not _is_int_list(self.seeds, 0):
             raise ConfigError("seeds must be a non-empty list of nonnegative integers")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be distinct")
+        for name in ("n_values", "m_values", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must be distinct")
         if not _is_int(self.grid_per_axis) or self.grid_per_axis < 2:
             raise ConfigError("grid_per_axis must be an integer >= 2")
         if self.grid_per_axis ** fam.dim > MAX_GRID_POINTS:

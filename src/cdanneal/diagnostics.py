@@ -26,7 +26,6 @@ from .model import (
 from .oracle import SampleChecks, TheoryConstants, empirical_stat_mean
 
 __all__ = [
-    "BiasCheck",
     "BiasGridReport",
     "DriftReport",
     "HypothesesUnmetError",
@@ -35,10 +34,8 @@ __all__ = [
     "RateFit",
     "bias_bound_grid",
     "cd_conditional_moments",
-    "check_bias_bound",
     "drift_report",
     "envelope_coverage",
-    "exact_expected_cd_gradient",
     "expected_sq_distance_after_step",
     "martingale_report",
     "occupancy_report",
@@ -50,11 +47,6 @@ SLACK_TOL = 1e-10
 
 class HypothesesUnmetError(RuntimeError):
     """A check was requested whose hypotheses the inputs do not satisfy."""
-
-
-def exact_expected_cd_gradient(fam: FiniteExpFamily, theta, data, m: int) -> np.ndarray:
-    """Conditional mean of the CD-m gradient given theta and the data."""
-    return cd_conditional_moments(fam, theta, data, m)[0]
 
 
 def cd_conditional_moments(fam: FiniteExpFamily, theta, data, m: int) -> tuple[np.ndarray, float]:
@@ -108,35 +100,6 @@ def _expected_sq_series(fam: FiniteExpFamily, box: ParamBox, traj: Trajectory, d
 
 
 @dataclass(frozen=True)
-class BiasCheck:
-    lhs: float
-    rhs: float
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
-
-def check_bias_bound(
-    fam: FiniteExpFamily,
-    theta,
-    data,
-    m: int,
-    constants: TheoryConstants,
-    checks: SampleChecks,
-) -> BiasCheck:
-    """Exact bias norm against its claimed bound at one parameter point.
-
-    The bound only holds for samples satisfying both quality constraints,
-    so unverified samples are refused rather than scored.
-    """
-    report = bias_bound_grid(fam, data, constants, checks, theta)  # refuses unverified samples
-    if m != constants.m or m != checks.m:
-        raise ValueError("m disagrees between constants, checks and request")
-    return BiasCheck(lhs=float(report.lhs[0]), rhs=float(report.rhs[0]))
-
-
-@dataclass(frozen=True)
 class BiasGridReport:
     thetas: np.ndarray
     lhs: np.ndarray
@@ -165,7 +128,13 @@ def bias_bound_grid(
     stat_table: np.ndarray | None = None,
     mean_table: np.ndarray | None = None,
 ) -> BiasGridReport:
-    """Bias-bound slack at every point of a parameter grid."""
+    """Bias-bound slack at every point of a parameter grid.
+
+    The bound only holds for samples satisfying both quality constraints,
+    so unverified samples are refused rather than scored.
+    """
+    if constants.m != checks.m:
+        raise ValueError("constants and sample checks disagree on the chain length m")
     if not checks.passed:
         raise HypothesesUnmetError("sample failed its quality constraints; bound does not apply")
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))

@@ -261,7 +261,6 @@ def _run_cell(task: CellTask) -> CellOutcome:
         master_seed=task.master_seed,
         replicate=task.replicate,
         theta_init=task.theta_init,
-        data_id=task.data_id,
     )
     return evaluate_cell(task, traj)
 
@@ -401,7 +400,7 @@ def _meta_dict(config: RunConfig, master_seed: int, task: CellTask, outcome: Cel
         "replicate": task.replicate,
         "master_seed": master_seed,
         "data_seed": list(task.data_seed),
-        "data_id": outcome.trajectory.data_id,
+        "data_id": task.data_id,
         "iterations": task.steps,
         "burn_in": task.burn_in,
         "gamma": config.gamma,
@@ -662,7 +661,7 @@ def rate_sweep(config: RunConfig, out_dir, master_seed: int = 0, workers: int = 
     below SLOPE_GAP_TOL.
     """
     config.validate()
-    if len(set(int(n) for n in config.n_values)) < 3:
+    if len(config.n_values) < 3:
         raise ConfigError("rate sweep needs at least 3 distinct sample sizes")
     if len(config.seeds) < 10:
         raise ConfigError("rate sweep needs at least 10 seeds")
@@ -788,10 +787,6 @@ def _read_cell(cell_dir: Path, task: CellTask) -> Trajectory:
         weighted_avgs=weighted_average_series(thetas, etas, task.burn_in),
         burn_in=task.burn_in,
         m=task.m,
-        n=task.n,
-        master_seed=task.master_seed,
-        replicate=task.replicate,
-        data_id=task.data_id,
     )
 
 

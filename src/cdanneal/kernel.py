@@ -21,10 +21,11 @@ __all__ = [
     "build_gibbs_random_scan",
     "estimate_zeta",
     "flip_tables",
-    "gibbs_kernels",
     "kernel_distance",
     "kernel_power",
     "kernel_to_csv",
+    "m_step_stat_rows",
+    "m_step_stat_table",
     "reversibility_violation",
     "spectral_gap",
     "stationarity_violation",
@@ -120,15 +121,14 @@ def build_gibbs_random_scan(fam: FiniteExpFamily, theta) -> KernelMatrix:
     return KernelMatrix(theta=theta, probs=probs.reshape(theta.shape[:-1] + (n, n)))
 
 
-def gibbs_kernels(fam: FiniteExpFamily, theta) -> np.ndarray:
-    """Gibbs transition matrices: (S, S) at one theta, (G, S, S) at a stack (G, d)."""
-    return build_gibbs_random_scan(fam, theta).probs
+def _check_chain_length(m) -> None:
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
+        raise ValueError("m must be an integer >= 1")
 
 
 def kernel_power(kernel: KernelMatrix, m: int) -> KernelMatrix:
     """Exact m-step transition matrix (of every matrix of a stack)."""
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-        raise ValueError("m must be an integer >= 1")
+    _check_chain_length(m)
     if m == 1:
         return kernel
     return KernelMatrix(theta=kernel.theta, probs=np.linalg.matrix_power(kernel.probs, m))

@@ -15,12 +15,11 @@ run is reproducible step by step.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import build_gibbs_random_scan, kernel_power
+from .kernel import _check_chain_length, build_gibbs_random_scan, kernel_power
 from .model import (
     FiniteExpFamily,
     ParamBox,
@@ -33,14 +32,10 @@ __all__ = [
     "Schedule",
     "TailDistance",
     "Trajectory",
-    "cd_gradient",
-    "cd_step",
     "counter_rng",
     "delta_n",
-    "exact_gradient_step",
     "run_cd",
     "run_exact_gradient",
-    "weighted_average",
     "weighted_average_series",
 ]
 
@@ -131,10 +126,6 @@ class Trajectory:
     weighted_avgs: np.ndarray
     burn_in: int
     m: int
-    n: int
-    master_seed: int
-    replicate: int
-    data_id: str = ""
 
     @property
     def steps(self) -> int:
@@ -143,11 +134,6 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.thetas.shape[1]
-
-    def weighted_avg_at(self, t: int) -> np.ndarray:
-        if t < self.burn_in or t > self.steps:
-            raise ValueError("t outside the averaged range")
-        return self.weighted_avgs[t - self.burn_in]
 
 
 def _cd_endpoints(
@@ -177,20 +163,6 @@ def _exact_direction(fam: FiniteExpFamily, theta: np.ndarray, start: np.ndarray)
     return start @ fam.suff_stats / start.sum() - mean_parameter(fam, theta)
 
 
-def _guarded_update(
-    fam: FiniteExpFamily,
-    box: ParamBox,
-    theta: np.ndarray,
-    eta: float,
-    stat_bound: float,
-    gradient,
-) -> tuple[np.ndarray, bool]:
-    """The guarded update on validated inputs; ``gradient()`` runs only if not frozen."""
-    if boundary_layer_contains(box, theta, eta, stat_bound, fam.dim):
-        return theta, True
-    return theta + eta * gradient(), False
-
-
 def _guarded_run(
     fam: FiniteExpFamily,
     box: ParamBox,
@@ -199,16 +171,13 @@ def _guarded_run(
     steps: int,
     burn_in: int,
     theta_init,
-    data_id: str,
     gradient,
     m: int,
-    master_seed: int,
-    replicate: int,
 ) -> Trajectory:
     """Guarded updates along ``gradient(t, theta, start)``, the loop of every learner.
 
     Inputs are validated once; ``start`` holds the state counts of the data.
-    A step the guard freezes never calls ``gradient``.
+    A step inside the boundary layer is frozen and never calls ``gradient``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -225,9 +194,9 @@ def _guarded_run(
     hits = np.empty(steps + 1, dtype=bool)
     thetas[0] = theta
     for t in range(steps):
-        theta, hits[t] = _guarded_update(
-            fam, box, theta, etas[t], stat_bound, functools.partial(gradient, t, theta, start)
-        )
+        frozen = hits[t] = boundary_layer_contains(box, theta, etas[t], stat_bound, fam.dim)
+        if not frozen:
+            theta = theta + etas[t] * gradient(t, theta, start)
         if not box.contains(theta):
             raise RuntimeError("guarded update left the parameter box")
         thetas[t + 1] = theta
@@ -239,46 +208,6 @@ def _guarded_run(
         weighted_avgs=weighted_average_series(thetas, etas, burn_in),
         burn_in=burn_in,
         m=m,
-        n=int(items.size),
-        master_seed=master_seed,
-        replicate=replicate,
-        data_id=data_id,
-    )
-
-
-def cd_gradient(
-    fam: FiniteExpFamily,
-    theta: np.ndarray,
-    data,
-    m: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One draw of the CD-m gradient estimate.
-
-    Every datum starts a chain at itself, the chain runs m single kernel
-    steps at the current parameter, and the estimate is the gap between the
-    empirical statistic mean of the data and of the chain endpoints.  Its
-    norm never exceeds 2 * sqrt(dim) * stat_bound.
-    """
-    start = np.bincount(_data_indices(fam, data), minlength=fam.n_states)
-    return _cd_direction(fam, theta, start, m, rng)
-
-
-def cd_step(
-    fam: FiniteExpFamily,
-    box: ParamBox,
-    theta: np.ndarray,
-    eta: float,
-    data,
-    m: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, bool]:
-    """Guarded update: freeze inside the boundary layer, else step along CD-m."""
-    start = np.bincount(_data_indices(fam, data), minlength=fam.n_states)
-    theta = np.asarray(theta, dtype=float)
-    return _guarded_update(
-        fam, box, theta, eta, fam.stat_bound,
-        functools.partial(_cd_direction, fam, theta, start, m, rng),
     )
 
 
@@ -293,33 +222,21 @@ def run_cd(
     master_seed: int = 0,
     replicate: int = 0,
     theta_init=None,
-    data_id: str = "",
 ) -> Trajectory:
     """Run CD-m for a fixed number of guarded updates.
 
     A step the guard freezes draws no randomness, and every other step t
-    draws from its own counter stream.
+    draws from its own counter stream.  The CD gradient estimate is the gap
+    between the statistic means of the data and of the chain endpoints; its
+    norm never exceeds 2 * sqrt(dim) * stat_bound.
     """
+    _check_chain_length(m)
 
     def gradient(t, theta, start):
         rng = counter_rng(master_seed, replicate, t, RNG_STREAM_CD)
         return _cd_direction(fam, theta, start, m, rng)
 
-    return _guarded_run(
-        fam, box, schedule, data, steps, burn_in, theta_init, data_id,
-        gradient, int(m), master_seed, replicate,
-    )
-
-
-def weighted_average(thetas: np.ndarray, etas: np.ndarray, t0: int, t: int) -> np.ndarray:
-    """Rate-weighted average of theta_{t0} .. theta_t by direct summation."""
-    if not 0 <= t0 <= t < len(thetas):
-        raise ValueError("need 0 <= t0 <= t within the trajectory")
-    if len(etas) <= t:
-        raise ValueError("etas shorter than requested window")
-    w = np.asarray(etas, dtype=float)[t0 : t + 1]
-    block = np.asarray(thetas, dtype=float)[t0 : t + 1]
-    return w @ block / w.sum()
+    return _guarded_run(fam, box, schedule, data, steps, burn_in, theta_init, gradient, m)
 
 
 def weighted_average_series(thetas: np.ndarray, etas: np.ndarray, t0: int) -> np.ndarray:
@@ -360,18 +277,6 @@ def delta_n(traj: Trajectory, theta_star, tail_fraction: float = 0.1) -> TailDis
     return TailDistance(tail_max=float(dists.max()), final=float(dists[-1]), window_start=start)
 
 
-def exact_gradient_step(
-    fam: FiniteExpFamily, box: ParamBox, theta: np.ndarray, data, eta: float
-) -> tuple[np.ndarray, bool]:
-    """Noiseless baseline: step along the exact log-likelihood gradient."""
-    start = np.bincount(_data_indices(fam, data), minlength=fam.n_states)
-    theta = np.asarray(theta, dtype=float)
-    return _guarded_update(
-        fam, box, theta, eta, fam.stat_bound,
-        functools.partial(_exact_direction, fam, theta, start),
-    )
-
-
 def run_exact_gradient(
     fam: FiniteExpFamily,
     box: ParamBox,
@@ -380,13 +285,10 @@ def run_exact_gradient(
     steps: int,
     burn_in: int = 0,
     theta_init=None,
-    data_id: str = "",
 ) -> Trajectory:
     """Run the exact-gradient baseline with the same guard and averaging."""
 
     def gradient(t, theta, start):
         return _exact_direction(fam, theta, start)
 
-    return _guarded_run(
-        fam, box, schedule, data, steps, burn_in, theta_init, data_id, gradient, 0, 0, 0
-    )
+    return _guarded_run(fam, box, schedule, data, steps, burn_in, theta_init, gradient, 0)

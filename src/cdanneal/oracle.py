@@ -44,7 +44,6 @@ __all__ = [
     "check_constraint_empirical_process",
     "check_constraint_mle",
     "check_sample",
-    "compute_constants",
     "compute_grid_bounds",
     "empirical_stat_mean",
     "mle",
@@ -468,17 +467,3 @@ def assemble_constants(
         grid_per_axis=bounds.grid_per_axis,
         half_width=bounds.half_width,
     )
-
-
-def compute_constants(
-    fam: FiniteExpFamily,
-    box: ParamBox,
-    theta_star,
-    m: int,
-    n: int,
-    gamma: float,
-    grid_per_axis: int = 9,
-) -> TheoryConstants:
-    """One-call version of :func:`compute_grid_bounds` + :func:`assemble_constants`."""
-    bounds = compute_grid_bounds(fam, box, theta_star, grid_per_axis)
-    return assemble_constants(fam, box, bounds, m, n, gamma)

@@ -16,8 +16,8 @@ import cdanneal.cli as cli
 from cdanneal.config import RunConfig
 from cdanneal.diagnostics import (
     bias_bound_grid,
+    cd_conditional_moments,
     drift_report,
-    exact_expected_cd_gradient,
     expected_sq_distance_after_step,
     martingale_report,
     occupancy_report,
@@ -120,7 +120,7 @@ class TestCriterion01Exactness:
             for m in (1, 2):
                 items_arr = np.array(items)
                 grad_bf, sq_bf = enumerate_cd_moments(fvbm2, theta, items_arr, m, eta, center)
-                grad = exact_expected_cd_gradient(fvbm2, theta, items_arr, m)
+                grad = cd_conditional_moments(fvbm2, theta, items_arr, m)[0]
                 sq = expected_sq_distance_after_step(
                     fvbm2, box3, theta, eta, items_arr, m, center
                 )

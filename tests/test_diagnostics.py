@@ -10,15 +10,13 @@ from cdanneal.diagnostics import (
     HypothesesUnmetError,
     bias_bound_grid,
     cd_conditional_moments,
-    check_bias_bound,
     drift_report,
-    exact_expected_cd_gradient,
     expected_sq_distance_after_step,
     martingale_report,
     occupancy_report,
     rate_fit,
 )
-from cdanneal.learner import Schedule, cd_gradient, counter_rng, run_cd
+from cdanneal.learner import Schedule, run_cd
 from cdanneal.model import ParamBox, mean_parameter, state_probs
 from cdanneal.oracle import (
     assemble_constants,
@@ -55,14 +53,14 @@ def admissible_setup(fvbm2, small_box, small_bounds, theta_star):
 
 class TestExactExpectedGradient:
     def test_single_datum_kernel_row(self, fvbm2):
-        value = exact_expected_cd_gradient(fvbm2, np.zeros(3), np.array([0]), 1)
+        value = cd_conditional_moments(fvbm2, np.zeros(3), np.array([0]), 1)[0]
         np.testing.assert_allclose(value, [-0.25, 0.0, -0.25], atol=1e-15)
 
     def test_long_chains_recover_exact_gradient(self, fvbm2, theta_star):
         items = np.array([0, 1, 1, 3, 2])
         emp = fvbm2.suff_stats[items].mean(axis=0)
         expected = emp - mean_parameter(fvbm2, theta_star)
-        value = exact_expected_cd_gradient(fvbm2, theta_star, items, 400)
+        value = cd_conditional_moments(fvbm2, theta_star, items, 400)[0]
         np.testing.assert_allclose(value, expected, atol=1e-9)
 
     def test_stationary_start_rows_equal_model_mean(self, fvbm2, theta_star):
@@ -73,7 +71,7 @@ class TestExactExpectedGradient:
         surrogate = emp - state_probs(fvbm2, theta_star) @ fvbm2.suff_stats
         gaps = [
             np.linalg.norm(
-                exact_expected_cd_gradient(fvbm2, theta_star, items, m) - surrogate
+                cd_conditional_moments(fvbm2, theta_star, items, m)[0] - surrogate
             )
             for m in (1, 4, 16, 64)
         ]
@@ -86,7 +84,13 @@ class TestExactExpectedGradient:
         m = 2
         mean, var_trace = cd_conditional_moments(fvbm2, theta, items, m)
         reps = 50_000
-        grad = cd_gradient(fvbm2, theta, np.tile(items, reps), m, counter_rng(70, 0, 0, 1))
+        # step 0 of run_cd under a unit rate moves theta by one gradient draw
+        traj = run_cd(
+            fvbm2, ParamBox(10.0, 3), Schedule("fixed", 1.0), np.tile(items, reps), m, steps=1,
+            master_seed=70, theta_init=theta,
+        )
+        assert not traj.boundary_hits[0]
+        grad = traj.thetas[1] - traj.thetas[0]
         se = math.sqrt(var_trace * len(items) / reps)
         assert np.all(np.abs(grad - mean) <= 4 * se)
 
@@ -102,7 +106,7 @@ class TestBruteForceAgreement:
         eta = 0.05
         items = np.array(items)
         grad_bf, sq_bf = enumerate_cd_moments(fvbm2, theta, items, m, eta, center)
-        grad = exact_expected_cd_gradient(fvbm2, theta, items, m)
+        grad = cd_conditional_moments(fvbm2, theta, items, m)[0]
         sq = expected_sq_distance_after_step(fvbm2, box3, theta, eta, items, m, center)
         np.testing.assert_allclose(grad, grad_bf, atol=1e-12)
         assert sq == pytest.approx(sq_bf, abs=1e-12)
@@ -111,11 +115,11 @@ class TestBruteForceAgreement:
 class TestBiasBound:
     def test_positive_slack_at_the_mle(self, fvbm2, small_box, admissible_setup):
         m, data, consts, checks = admissible_setup
-        check = check_bias_bound(fvbm2, checks.mle.theta, data, m, consts, checks)
+        report = bias_bound_grid(fvbm2, data, consts, checks, checks.mle.theta)
         # at the MLE the distance term vanishes; only the fluctuation
         # allowance remains on the right side
-        assert check.rhs == pytest.approx(consts.fluctuation_scale)
-        assert check.slack >= 0
+        assert report.rhs[0] == pytest.approx(consts.fluctuation_scale)
+        assert report.slacks[0] >= 0
 
     def test_slack_positive_on_grid(self, fvbm2, small_box, admissible_setup):
         m, data, consts, checks = admissible_setup
@@ -133,12 +137,12 @@ class TestBiasBound:
             mle_check=dataclasses.replace(checks.mle_check, passed=False),
         )
         with pytest.raises(HypothesesUnmetError):
-            check_bias_bound(fvbm2, theta_star, data, m, consts, failing)
+            bias_bound_grid(fvbm2, data, consts, failing, theta_star)
 
     def test_mismatched_m_rejected(self, fvbm2, admissible_setup):
         m, data, consts, checks = admissible_setup
         with pytest.raises(ValueError):
-            check_bias_bound(fvbm2, np.zeros(3), data, m + 1, consts, checks)
+            bias_bound_grid(fvbm2, data, dataclasses.replace(consts, m=m + 1), checks, np.zeros(3))
 
     def test_bound_utilization_shrinks_with_m(self, fvbm2, small_box, small_bounds, theta_star):
         # longer chains shrink the geometric coefficient of the distance

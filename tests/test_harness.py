@@ -27,6 +27,8 @@ THREE_STATE_MODEL = {"states": [[0], [1], [2]], "phi": [[0], [1], [2]]}
 DUPLICATE_STATE_MODEL = {"states": [[0], [0]], "phi": [[0.0], [1.0]]}
 # FVBM p = 4 has dim 10, so 9 points per axis would be 9**10 (about 3.5e9).
 HUGE_GRID = {"model": {"type": "fvbm", "p": 4}, "theta_star": [0.0] * 10, "grid_per_axis": 9}
+# FVBM p = 6 has dim 21, so even 2 points per axis is 2**21 > MAX_GRID_POINTS.
+P6_GRID = {"model": {"type": "fvbm", "p": 6}, "theta_star": [0.0] * 21, "grid_per_axis": 2}
 
 
 def small_config(**overrides) -> RunConfig:
@@ -101,6 +103,8 @@ class TestRunConfig:
             {"exact_step_checks": "no"},
             {"model": {"type": "fvbm", "p": 2.5}},
             {"model": DUPLICATE_STATE_MODEL, "theta_star": [0.3]},
+            {"n_values": [60, 60]},
+            {"m_values": [2, 4, 2]},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -457,6 +461,7 @@ class TestCli:
             HUGE_GRID,
             {"half_width": 240.0},
             {"half_width": 250.0},
+            P6_GRID,
         ],
     )
     def test_unrunnable_config_exits_two_without_traceback(self, tmp_path, capsys, overrides):

@@ -1,4 +1,8 @@
-"""Static check on the package sources: no module imports a name it never uses."""
+"""Static checks on the package sources.
+
+No module imports a name it never uses, every ``__all__`` entry is bound in
+its module, and the package root imports only names its submodules export.
+"""
 
 import ast
 from pathlib import Path
@@ -7,6 +11,15 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cdanneal"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
 
 
 def unused_imports(source: str) -> list[str]:
@@ -20,11 +33,7 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            used |= {elt.value for elt in node.value.elts}
+    used |= set(_exported(tree))
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
@@ -43,3 +52,46 @@ def test_checker_flags_unused_and_respects_all():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def unbound_exports(source: str) -> list[str]:
+    """``__all__`` entries that no top-level statement of the module binds."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return [name for name in _exported(tree) if name not in bound]
+
+
+def test_export_checker_flags_unbound_names():
+    source = (
+        "import numpy as np\n"
+        "from .model import ParamBox\n"
+        "__all__ = ['LIMIT', 'ParamBox', 'Report', 'gone', 'run']\n"
+        "LIMIT = 3\n"
+        "class Report: pass\n"
+        "def run(): pass\n"
+    )
+    assert unbound_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_defines_every_export(module):
+    assert unbound_exports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_package_root_imports_only_exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    unexported = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            source = (PACKAGE / f"{node.module}.py").read_text(encoding="utf-8")
+            exported = set(_exported(ast.parse(source)))
+            unexported += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
+    assert unexported == []

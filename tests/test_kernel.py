@@ -11,7 +11,6 @@ from cdanneal.kernel import (
     build_gibbs_random_scan,
     estimate_zeta,
     flip_tables,
-    gibbs_kernels,
     kernel_distance,
     kernel_power,
     kernel_to_csv,
@@ -80,7 +79,7 @@ class TestGibbsConstruction:
                 [np.full(fam.dim, 30.0), np.full(fam.dim, -30.0)],
             ]
         )
-        stack = gibbs_kernels(fam, thetas)
+        stack = build_gibbs_random_scan(fam, thetas).probs
         assert stack.shape == (len(thetas), fam.n_states, fam.n_states)
         for theta, probs in zip(thetas, stack):
             np.testing.assert_array_equal(probs, build_gibbs_random_scan(fam, theta).probs)

@@ -15,14 +15,10 @@ from cdanneal.learner import (
     Schedule,
     Trajectory,
     _cd_endpoints,
-    cd_gradient,
-    cd_step,
     counter_rng,
     delta_n,
-    exact_gradient_step,
     run_cd,
     run_exact_gradient,
-    weighted_average,
     weighted_average_series,
 )
 from cdanneal.model import ParamBox, boundary_layer_contains, mean_parameter
@@ -96,6 +92,27 @@ class TestCounterRng:
             counter_rng(-1, 0, 0, 0)
 
 
+def _cd_draw(fam, theta, data, m, master_seed, replicate=0):
+    """CD-m gradient drawn by step 0 of ``run_cd`` from counter_rng(master_seed, replicate, 0, 1).
+
+    Under a fixed unit rate, in a box wide enough that the guard never
+    freezes, step 0 moves theta by the gradient estimate.
+    """
+    box = ParamBox(10.0, fam.dim)
+    traj = run_cd(
+        fam, box, Schedule("fixed", 1.0), data, m, steps=1,
+        master_seed=master_seed, replicate=replicate, theta_init=theta,
+    )
+    assert not traj.boundary_hits[0]
+    return traj.thetas[1] - traj.thetas[0]
+
+
+def _direct_weighted_average(thetas, etas, t0, t):
+    """Rate-weighted average of theta_{t0} .. theta_t by direct summation."""
+    w = np.asarray(etas, dtype=float)[t0 : t + 1]
+    return w @ np.asarray(thetas, dtype=float)[t0 : t + 1] / w.sum()
+
+
 class TestCdGradient:
     def test_norm_never_exceeds_bound(self, fvbm2):
         bound = 2 * math.sqrt(3) * 1.0
@@ -104,14 +121,14 @@ class TestCdGradient:
             theta = rng.uniform(-3, 3, size=3)
             items = rng.integers(0, 4, size=rng.integers(1, 40))
             m = int(rng.integers(1, 5))
-            grad = cd_gradient(fvbm2, theta, items, m, counter_rng(9, trial, 0, 1))
+            grad = _cd_draw(fvbm2, theta, items, m, 9, trial)
             assert np.linalg.norm(grad) <= bound + 1e-12
 
     def test_single_datum_mean(self, fvbm2):
         # one datum at (0,0), one chain step: E[g] = phi(0,0) - kernel row mean
         n_chains = 200_000
         items = np.zeros(n_chains, dtype=np.int64)
-        grad = cd_gradient(fvbm2, np.zeros(3), items, 1, counter_rng(5, 0, 0, 1))
+        grad = _cd_draw(fvbm2, np.zeros(3), items, 1, 5)
         _, var_trace = cd_conditional_moments(fvbm2, np.zeros(3), np.array([0]), 1)
         se = math.sqrt(var_trace / n_chains)
         np.testing.assert_allclose(grad, [-0.25, 0.0, -0.25], atol=4 * math.sqrt(3) * se)
@@ -125,12 +142,7 @@ class TestCdGradient:
         pi_gap = np.max(np.abs(rows - mean_parameter(fvbm2, theta_star)))
         assert pi_gap < 1e-9
         reps = 400
-        draws = np.stack(
-            [
-                cd_gradient(fvbm2, theta_star, data.items, m, counter_rng(6, r, 0, 1))
-                for r in range(reps)
-            ]
-        )
+        draws = np.stack([_cd_draw(fvbm2, theta_star, data.items, m, 6, r) for r in range(reps)])
         exact = (
             np.bincount(data.items, minlength=4) @ fvbm2.suff_stats / data.n
             - mean_parameter(fvbm2, theta_star)
@@ -147,7 +159,7 @@ class TestCdGradient:
         mean_exact, var_trace = cd_conditional_moments(fvbm2, theta, items_base, m)
         reps = 60_000
         tiled = np.tile(items_base, reps)
-        grad = cd_gradient(fvbm2, theta, tiled, m, counter_rng(8, 0, 0, 1))
+        grad = _cd_draw(fvbm2, theta, tiled, m, 8)
         # tiled data reproduce the empirical mean and the chain endpoints
         # average over reps independent copies of the base sample
         se = math.sqrt(var_trace * len(items_base) / reps)
@@ -156,11 +168,11 @@ class TestCdGradient:
     @pytest.mark.parametrize("bad_m", [0, -1, 1.5])
     def test_bad_m_rejected(self, fvbm2, bad_m):
         with pytest.raises(ValueError):
-            cd_gradient(fvbm2, np.zeros(3), np.array([0]), bad_m, counter_rng(0, 0, 0, 1))
+            _cd_draw(fvbm2, np.zeros(3), np.array([0]), bad_m, 0)
 
     def test_datum_outside_state_space_rejected(self, fvbm2):
         with pytest.raises(ValueError):
-            cd_gradient(fvbm2, np.zeros(3), np.array([4]), 1, counter_rng(0, 0, 0, 1))
+            _cd_draw(fvbm2, np.zeros(3), np.array([4]), 1, 0)
 
 
 def _enumerated_m_step_law(fam, theta, m):
@@ -221,19 +233,25 @@ class TestCdEndpoints:
 
 
 class TestCdStep:
-    def test_zero_rate_keeps_theta(self, fvbm2, box3):
-        theta = np.array([0.5, -1.0, 0.3])
-        new, hit = cd_step(fvbm2, box3, theta, 0.0, np.array([0, 1]), 1, counter_rng(1, 0, 0, 1))
-        assert not hit
-        np.testing.assert_array_equal(new, theta)
-
     def test_guard_freezes_near_boundary(self, fvbm2, box3):
         eta = 0.25
         eps = 0.5 * 2 * eta * math.sqrt(3)
         theta = np.array([3.0 - eps, 0.0, 0.0])
-        new, hit = cd_step(fvbm2, box3, theta, eta, np.array([0]), 1, counter_rng(1, 0, 1, 1))
-        assert hit
-        assert new is theta or np.array_equal(new, theta)
+        traj = run_cd(
+            fvbm2, box3, Schedule("fixed", eta), np.array([0]), 1, steps=1,
+            master_seed=1, theta_init=theta,
+        )
+        assert traj.boundary_hits[0]
+        np.testing.assert_array_equal(traj.thetas[1], theta)
+
+    @pytest.mark.parametrize("bad_m", [1.5, True, 0])
+    def test_bad_m_rejected_before_a_frozen_first_step(self, fvbm2, box3, bad_m):
+        # every step is frozen here, so no kernel power ever sees m
+        with pytest.raises(ValueError, match="m must be an integer"):
+            run_cd(
+                fvbm2, box3, Schedule("fixed", 0.5), np.array([0, 1]), bad_m, steps=3,
+                theta_init=[2.5, 0.0, 0.0],
+            )
 
     def test_large_box_has_no_hits(self, fvbm2, theta_star):
         # a wide box never triggers the guard at desk scale
@@ -282,8 +300,8 @@ class TestRunCd:
         sch = Schedule("harmonic", 2.0)
         traj = run_cd(fvbm2, box3, sch, data, m=1, steps=120, burn_in=7, master_seed=1, replicate=2)
         for t in (7, 30, 120):
-            direct = weighted_average(traj.thetas, traj.etas, 7, t)
-            np.testing.assert_allclose(traj.weighted_avg_at(t), direct, atol=1e-12)
+            direct = _direct_weighted_average(traj.thetas, traj.etas, 7, t)
+            np.testing.assert_allclose(traj.weighted_avgs[t - 7], direct, atol=1e-12)
 
 
 class TestWeightedAverage:
@@ -292,14 +310,14 @@ class TestWeightedAverage:
     def test_constant_sequence_returns_constant(self, c, t):
         thetas = np.full((t + 1, 2), c)
         etas = Schedule("harmonic", 1.0).rates(t + 1)
-        np.testing.assert_allclose(weighted_average(thetas, etas, 0, t), [c, c], atol=1e-12)
+        np.testing.assert_allclose(weighted_average_series(thetas, etas, 0)[t], [c, c], atol=1e-12)
 
     def test_fixed_rate_is_plain_mean(self):
         rng = np.random.default_rng(3)
         thetas = rng.normal(size=(20, 3))
         etas = np.full(20, 0.3)
         np.testing.assert_allclose(
-            weighted_average(thetas, etas, 4, 15), thetas[4:16].mean(axis=0), atol=1e-12
+            weighted_average_series(thetas, etas, 4)[15 - 4], thetas[4:16].mean(axis=0), atol=1e-12
         )
 
     def test_alternating_sequence_matches_direct_sum(self):
@@ -309,7 +327,8 @@ class TestWeightedAverage:
         expected = sum(etas[s] * thetas[s] for s in range(5, 26)) / sum(
             etas[s] for s in range(5, 26)
         )
-        np.testing.assert_allclose(weighted_average(thetas, etas, 5, 25), expected, atol=1e-12)
+        series = weighted_average_series(thetas, etas, 5)
+        np.testing.assert_allclose(series[25 - 5], expected, atol=1e-12)
 
     def test_series_rows_match_single_calls(self):
         rng = np.random.default_rng(4)
@@ -317,22 +336,25 @@ class TestWeightedAverage:
         etas = Schedule("power", 1.0, exponent=0.7).rates(15)
         series = weighted_average_series(thetas, etas, 3)
         for t in range(3, 15):
-            np.testing.assert_allclose(series[t - 3], weighted_average(thetas, etas, 3, t), atol=1e-12)
+            np.testing.assert_allclose(
+                series[t - 3], _direct_weighted_average(thetas, etas, 3, t), atol=1e-12
+            )
 
     def test_empty_window_rejected(self):
         thetas = np.zeros((5, 2))
         etas = np.ones(5)
-        with pytest.raises(ValueError):
-            weighted_average(thetas, etas, 4, 3)
+        for t0 in (-1, 5):
+            with pytest.raises(ValueError):
+                weighted_average_series(thetas, etas, t0)
 
     def test_iid_average_concentrates_on_mean(self):
         rng = np.random.default_rng(11)
         draws = rng.uniform(0.0, 1.0, size=(100_000, 2))
         etas = np.full(100_000, 1.0)
-        avg = weighted_average(draws, etas, 0, 99_999)
+        avg = weighted_average_series(draws, etas, 0)[-1]
         np.testing.assert_allclose(avg, [0.5, 0.5], atol=0.005)
         etas = Schedule("harmonic", 1.0).rates(100_000)
-        avg = weighted_average(draws, etas, 0, 99_999)
+        avg = weighted_average_series(draws, etas, 0)[-1]
         np.testing.assert_allclose(avg, [0.5, 0.5], atol=0.15)
 
 
@@ -346,9 +368,6 @@ def _synthetic_trajectory(avgs, burn_in=0):
         weighted_avgs=np.asarray(avgs, dtype=float),
         burn_in=burn_in,
         m=1,
-        n=1,
-        master_seed=0,
-        replicate=0,
     )
 
 
@@ -377,15 +396,20 @@ class TestDeltaN:
 class TestExactGradient:
     def test_uniform_data_is_fixed_point_at_origin(self, fvbm2, box3):
         items = np.array([0, 1, 2, 3])
-        new, hit = exact_gradient_step(fvbm2, box3, np.zeros(3), items, 0.5)
-        assert not hit
-        np.testing.assert_allclose(new, np.zeros(3), atol=1e-15)
+        traj = run_exact_gradient(fvbm2, box3, Schedule("fixed", 0.5), items, steps=1)
+        assert not traj.boundary_hits[0]
+        np.testing.assert_allclose(traj.thetas[1], np.zeros(3), atol=1e-15)
 
     def test_mle_is_fixed_point(self, fvbm2, box3, theta_star):
         data = sample_iid(fvbm2, theta_star, 500, seed=9)
         result = mle(fvbm2, data, box3)
-        new, _ = exact_gradient_step(fvbm2, box3, result.theta, data.items, 0.7)
-        np.testing.assert_allclose(new, result.theta, atol=1e-9)
+        # at eta = 0.7 the guard would freeze this step (theta_2 is 2.10 from the
+        # boundary, the layer 2.42 wide); at 0.5 the layer is 1.73 wide
+        traj = run_exact_gradient(
+            fvbm2, box3, Schedule("fixed", 0.5), data.items, steps=1, theta_init=result.theta
+        )
+        assert not traj.boundary_hits[0]
+        np.testing.assert_allclose(traj.thetas[1], result.theta, atol=1e-9)
 
     def test_guard_sees_the_stored_rates(self, fvbm2, box3, theta_star, monkeypatch):
         # the guard (and the update, which takes the same eta) of step t

@@ -8,7 +8,7 @@ import pytest
 
 from _bruteforce import grid_bounds_per_point
 from cdanneal.kernel import kernel_power, build_gibbs_random_scan
-from cdanneal.learner import cd_gradient, counter_rng
+from cdanneal.learner import Schedule, run_cd
 from cdanneal.model import ParamBox, build_fvbm, state_probs
 from cdanneal.oracle import (
     DataSample,
@@ -17,7 +17,6 @@ from cdanneal.oracle import (
     check_constraint_empirical_process,
     check_constraint_mle,
     check_sample,
-    compute_constants,
     compute_grid_bounds,
     empirical_stat_mean,
     mle,
@@ -34,11 +33,11 @@ class TestDataIndices:
         "data",
         [np.array([0.0, 1.0]), np.array([[0, 1]]), np.array([], dtype=np.int64), [4], [-1]],
     )
-    def test_learner_and_oracle_reject_the_same_samples(self, fvbm2, data):
+    def test_learner_and_oracle_reject_the_same_samples(self, fvbm2, box3, data):
         with pytest.raises(ValueError):
             empirical_stat_mean(fvbm2, data)
         with pytest.raises(ValueError):
-            cd_gradient(fvbm2, np.zeros(3), data, 1, counter_rng(0, 0, 0, 1))
+            run_cd(fvbm2, box3, Schedule("fixed", 1.0), data, 1, steps=1)
 
     def test_sample_object_and_index_list_agree(self, fvbm2, theta_star):
         data = sample_iid(fvbm2, theta_star, 50, seed=4)
@@ -281,7 +280,8 @@ class TestConstants:
 
     def test_admissible_constants_assemble(self, fvbm2, theta_star):
         box = ParamBox(1.25, 3)
-        consts = compute_constants(fvbm2, box, theta_star, m=16, n=10_000, gamma=0.45)
+        bounds = compute_grid_bounds(fvbm2, box, theta_star)
+        consts = assemble_constants(fvbm2, box, bounds, m=16, n=10_000, gamma=0.45)
         assert consts.hypotheses_met
         assert consts.ball_factor == pytest.approx(10_000 ** ((1 - 0.9) / 6))
         assert consts.ball_radius == pytest.approx(
