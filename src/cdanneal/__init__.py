@@ -56,4 +56,4 @@ from .oracle import (
     sample_iid,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -8,9 +8,11 @@ the learner builds K^m once per update and draws all endpoints in one
 call.  The update freezes inside a shrinking layer along the
 parameter-box boundary, which keeps every iterate feasible because a
 single step of the bounded gradient cannot jump across the layer.
-Randomness is counter based: each (master seed, replicate, iteration)
-triple keys its own Philox stream, so replicates are independent and any
-run is reproducible step by step.
+Randomness is counter based (Philox): the key is (master seed,
+replicate, stream) and the counter word is the step.  A run keys its
+generator once and starts step t at counter (0, t, 0, 0), so every step
+reads its own disjoint counter range, replicates are independent and any
+single step can be replayed in isolation with :func:`counter_rng`.
 """
 
 from __future__ import annotations
@@ -43,17 +45,50 @@ RNG_STREAM_CD = 1
 RNG_STREAM_DATA = 2
 
 
-def counter_rng(master_seed: int, replicate: int, step: int, stream: int) -> np.random.Generator:
-    """Philox generator keyed by (master_seed, replicate, step, stream).
+def _check_key_word(v) -> None:
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not 0 <= v < 2**64:
+        raise ValueError(f"rng key components must be nonnegative integers below 2**64, got {v!r}")
 
-    Each tuple owns an independent stream, so replicates can run in
-    parallel and any single iteration can be replayed in isolation.
+
+def _step_rngs(master_seed: int, replicate: int, stream: int):
+    """``at(step)``: one Philox generator keyed by (master_seed, replicate, stream).
+
+    The key is ``SeedSequence(entropy=(master_seed, replicate, stream))
+    .generate_state(2, np.uint64)``.  ``at(step)`` resets the generator to
+    counter (0, step, 0, 0) with an empty draw buffer and returns it, so a
+    step's draws depend on the key and the step alone.
     """
-    for v in (master_seed, replicate, step, stream):
-        if v < 0:
-            raise ValueError("rng key components must be nonnegative")
-    seq = np.random.SeedSequence(entropy=(master_seed, replicate, step, stream))
-    return np.random.Generator(np.random.Philox(seed=seq))
+    for v in (master_seed, replicate, stream):
+        _check_key_word(v)
+    seq = np.random.SeedSequence(entropy=(master_seed, replicate, stream))
+    key = seq.generate_state(2, np.uint64)
+    # Seeding from ``seq`` spares the OS entropy a keyless Philox would draw.
+    bitgen = np.random.Philox(seed=seq)
+    rng = np.random.Generator(bitgen)
+
+    def at(step: int) -> np.random.Generator:
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([0, step, 0, 0], dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return rng
+
+    return at
+
+
+def counter_rng(master_seed: int, replicate: int, step: int, stream: int) -> np.random.Generator:
+    """Philox generator with key (master_seed, replicate, stream) and counter word ``step``.
+
+    It draws what step ``step`` of a run with that key draws, so any single
+    iteration can be replayed in isolation; distinct keys give independent
+    streams, so replicates can run in parallel.
+    """
+    _check_key_word(step)
+    return _step_rngs(master_seed, replicate, stream)(step)
 
 
 @dataclass(frozen=True)
@@ -183,10 +218,14 @@ def _guarded_run(
         raise ValueError("steps must be >= 1")
     if not 0 <= burn_in <= steps:
         raise ValueError("burn_in must lie in [0, steps]")
+    if box.dim != fam.dim:
+        raise ValueError(f"box has dimension {box.dim}, the family {fam.dim}")
     items = _data_indices(fam, data)
     start = np.bincount(items, minlength=fam.n_states)
     stat_bound = fam.stat_bound
     theta = np.zeros(fam.dim) if theta_init is None else np.asarray(theta_init, dtype=float)
+    if theta.shape != (fam.dim,):
+        raise ValueError(f"theta_init has shape {theta.shape}, expected ({fam.dim},)")
     if not box.contains(theta):
         raise ValueError("initial theta outside the parameter box")
     etas = schedule.rates(steps + 1)
@@ -226,15 +265,16 @@ def run_cd(
     """Run CD-m for a fixed number of guarded updates.
 
     A step the guard freezes draws no randomness, and every other step t
-    draws from its own counter stream.  The CD gradient estimate is the gap
-    between the statistic means of the data and of the chain endpoints; its
-    norm never exceeds 2 * sqrt(dim) * stat_bound.
+    draws what ``counter_rng(master_seed, replicate, t, RNG_STREAM_CD)``
+    draws; the generator is keyed once per run.  The CD gradient estimate is
+    the gap between the statistic means of the data and of the chain
+    endpoints; its norm never exceeds 2 * sqrt(dim) * stat_bound.
     """
     _check_chain_length(m)
+    rng_at = _step_rngs(master_seed, replicate, RNG_STREAM_CD)
 
     def gradient(t, theta, start):
-        rng = counter_rng(master_seed, replicate, t, RNG_STREAM_CD)
-        return _cd_direction(fam, theta, start, m, rng)
+        return _cd_direction(fam, theta, start, m, rng_at(t))
 
     return _guarded_run(fam, box, schedule, data, steps, burn_in, theta_init, gradient, m)
 

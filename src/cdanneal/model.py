@@ -10,6 +10,7 @@ computable to machine precision.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +103,8 @@ class ParamBox:
             raise ValueError("dim must be at least 1")
 
     def contains(self, theta: np.ndarray) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        return bool(np.all(np.abs(theta) <= self.half_width))
+        """Whether max |theta_i| <= half_width; a NaN entry is never contained."""
+        return bool(np.abs(np.asarray(theta, dtype=float)).max() <= self.half_width)
 
     def strictly_contains(self, theta: np.ndarray) -> bool:
         theta = np.asarray(theta, dtype=float)
@@ -296,11 +297,16 @@ def boundary_layer_contains(box: ParamBox, theta, eta_t: float, stat_bound: floa
     This is the shrinking layer inside which the guarded update freezes; a
     single step of the bounded update cannot jump further than that toward
     the boundary, so freezing inside the layer keeps every iterate feasible.
+    The distance to the boundary is half_width - max |theta_i|, bit for bit
+    :meth:`ParamBox.boundary_distance`, because rounding hw - x keeps its
+    order in x.
     """
-    theta = np.asarray(theta, dtype=float)
     if eta_t < 0:
         raise ValueError("eta_t must be nonnegative")
-    return box.boundary_distance(theta) <= 2.0 * eta_t * float(np.sqrt(dim)) * stat_bound
+    reach = float(np.abs(np.asarray(theta, dtype=float)).max())
+    if not reach <= box.half_width:
+        raise ParamBoxError("theta lies outside the parameter box")
+    return box.half_width - reach <= 2.0 * eta_t * math.sqrt(dim) * stat_bound
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from cdanneal.kernel import build_gibbs_random_scan, kernel_power, m_step_stat_r
 from cdanneal.learner import (
     Schedule,
     Trajectory,
+    _cd_direction,
     _cd_endpoints,
     counter_rng,
     delta_n,
@@ -87,6 +88,13 @@ class TestCounterRng:
         b = counter_rng(1, 2, 4, 4).random(5)
         assert not np.array_equal(a, b)
 
+    def test_rekeying_discards_a_partly_read_buffer(self):
+        # a run's generator restarts each step at an empty buffer, whatever
+        # the previous step left in it
+        at = learner._step_rngs(1, 2, 1)
+        at(0).random()
+        np.testing.assert_array_equal(at(5).random(7), counter_rng(1, 2, 5, 1).random(7))
+
     def test_negative_components_rejected(self):
         with pytest.raises(ValueError):
             counter_rng(-1, 0, 0, 0)
@@ -105,6 +113,13 @@ def _cd_draw(fam, theta, data, m, master_seed, replicate=0):
     )
     assert not traj.boundary_hits[0]
     return traj.thetas[1] - traj.thetas[0]
+
+
+def _learner(name):
+    """``run_cd`` at m = 1 or ``run_exact_gradient``, with one signature."""
+    if name == "run_cd":
+        return lambda fam, box, sch, data, **kw: run_cd(fam, box, sch, data, 1, **kw)
+    return run_exact_gradient
 
 
 def _direct_weighted_average(thetas, etas, t0, t):
@@ -253,6 +268,30 @@ class TestCdStep:
                 theta_init=[2.5, 0.0, 0.0],
             )
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, True])
+    @pytest.mark.parametrize("word", ["master_seed", "replicate"])
+    def test_bad_rng_key_rejected_before_a_frozen_first_step(self, fvbm2, box3, word, bad):
+        # every step is frozen here, so no generator is ever asked for a draw
+        with pytest.raises(ValueError, match="rng key components"):
+            run_cd(
+                fvbm2, box3, Schedule("fixed", 0.5), np.array([0, 1]), 1, steps=3,
+                theta_init=[2.5, 0.0, 0.0], **{word: bad},
+            )
+
+    @pytest.mark.parametrize("learner_name", ["run_cd", "run_exact_gradient"])
+    def test_theta_init_of_wrong_shape_rejected(self, fvbm2, box3, learner_name):
+        # 2.9 broadcasts into the box and every step is frozen, so only the
+        # shape check can refuse it
+        run = _learner(learner_name)
+        with pytest.raises(ValueError, match="theta_init has shape"):
+            run(fvbm2, box3, Schedule("fixed", 0.5), np.array([0, 1]), steps=3, theta_init=[2.9])
+
+    @pytest.mark.parametrize("learner_name", ["run_cd", "run_exact_gradient"])
+    def test_box_of_another_dimension_rejected(self, fvbm2, learner_name):
+        run = _learner(learner_name)
+        with pytest.raises(ValueError, match="box has dimension 5"):
+            run(fvbm2, ParamBox(3.0, 5), Schedule("harmonic", 1.0), np.array([0, 1]), steps=3)
+
     def test_large_box_has_no_hits(self, fvbm2, theta_star):
         # a wide box never triggers the guard at desk scale
         box = ParamBox(10.0, 3)
@@ -302,6 +341,47 @@ class TestRunCd:
         for t in (7, 30, 120):
             direct = _direct_weighted_average(traj.thetas, traj.etas, 7, t)
             np.testing.assert_allclose(traj.weighted_avgs[t - 7], direct, atol=1e-12)
+
+
+class TestRunCdRng:
+    def test_steps_replay_from_counter_rng(self, fvbm2, theta_star):
+        # the per-run generator draws at step t exactly what the replay
+        # entry counter_rng(seed, replicate, t, 1) draws
+        box = ParamBox(1.25, 3)
+        sch = Schedule("harmonic", 1.0)
+        m, seed = 3, 17
+        data = sample_iid(fvbm2, theta_star, 80, seed=21)
+        start = np.bincount(data.items, minlength=fvbm2.n_states)
+        moved = frozen = 0
+        for rep in (0, 1, 5):
+            traj = run_cd(fvbm2, box, sch, data, m=m, steps=200, master_seed=seed, replicate=rep)
+            for t in range(traj.steps):
+                theta = traj.thetas[t]
+                if traj.boundary_hits[t]:
+                    frozen += 1
+                    np.testing.assert_array_equal(traj.thetas[t + 1], theta)
+                    continue
+                moved += 1
+                rng = counter_rng(seed, rep, t, 1)
+                step = traj.etas[t] * _cd_direction(fvbm2, theta, start, m, rng)
+                np.testing.assert_array_equal(traj.thetas[t + 1], theta + step)
+        assert moved > 0 and frozen > 0
+
+    def test_one_seed_sequence_per_run(self, fvbm2, theta_star, monkeypatch):
+        # the generator is keyed once per run, not once per step
+        data = sample_iid(fvbm2, theta_star, 100, seed=4)
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(args or kwargs)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        box = ParamBox(10.0, 3)
+        traj = run_cd(fvbm2, box, Schedule("harmonic", 1.0), data, m=2, steps=50, master_seed=3)
+        assert not traj.boundary_hits[:-1].any()
+        assert len(built) == 1
 
 
 class TestWeightedAverage:

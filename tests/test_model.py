@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cdanneal.model import (
     FiniteExpFamily,
     ParamBox,
+    ParamBoxError,
     boundary_layer_contains,
     build_fvbm,
     family_from_json,
@@ -231,6 +232,56 @@ class TestBoundaryLayer:
         theta = np.array(theta)
         expected = 3.0 - np.max(np.abs(theta)) <= 2 * eta * math.sqrt(3)
         assert boundary_layer_contains(box3, theta, eta, 1.0, 3) == expected
+
+
+class TestGuardReduction:
+    """The one-reduction guard against the distance-based reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 6),
+        half_width=st.floats(0.05, 50.0),
+        eta=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+        stat_bound=st.floats(0.1, 4.0),
+        where=st.sampled_from(["inside", "layer_edge", "box_face"]),
+    )
+    def test_matches_boundary_distance(self, data, dim, half_width, eta, stat_bound, where):
+        box = ParamBox(half_width, dim)
+        layer = 2 * eta * np.sqrt(dim) * stat_bound
+        if where == "inside":
+            reach = half_width * data.draw(st.floats(0.0, 1.0))
+        elif where == "layer_edge":
+            reach = max(half_width - layer, 0.0)
+        else:
+            reach = half_width
+        # every entry within reach; one entry exactly +-reach, so ties bind
+        fractions = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
+        theta = np.array(fractions) * reach
+        theta[data.draw(st.integers(0, dim - 1))] = data.draw(st.sampled_from([-1.0, 1.0])) * reach
+        expected = box.boundary_distance(theta) <= layer
+        assert boundary_layer_contains(box, theta, eta, stat_bound, dim) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(1, 6), half_width=st.floats(0.05, 50.0), excess=st.floats(1e-9, 10.0))
+    def test_outside_the_box_raises_like_the_reference(self, dim, half_width, excess):
+        box = ParamBox(half_width, dim)
+        theta = np.zeros(dim)
+        theta[-1] = -(half_width + excess)
+        with pytest.raises(ParamBoxError):
+            box.boundary_distance(theta)
+        with pytest.raises(ParamBoxError):
+            boundary_layer_contains(box, theta, 0.1, 1.0, dim)
+
+    def test_contains_rejects_nan_and_accepts_the_boundary(self, box3):
+        assert box3.contains(np.array([3.0, -3.0, 0.0]))
+        assert box3.contains(np.array([-3.0, -3.0, -3.0]))
+        assert not box3.contains(np.array([np.nan, 0.0, 0.0]))
+        assert not box3.contains(np.array([0.0, np.nan, 3.0]))
+        assert not box3.contains(np.array([0.0, -np.inf, 0.0]))
+        assert not box3.contains(np.array([0.0, 0.0, np.nextafter(3.0, 4.0)]))
+        with pytest.raises(ParamBoxError):
+            boundary_layer_contains(box3, np.array([0.0, np.nan, 0.0]), 0.1, 1.0, 3)
 
 
 class TestFamilyFromJson:
