@@ -1,6 +1,9 @@
 """Contrastive divergence with annealed step sizes on finite exponential
 families, plus exact enumeration-based convergence diagnostics."""
 
+# Bound before the submodules load: ``harness`` records it in config.json.
+__version__ = "0.5.0"
+
 from .config import ConfigError, RunConfig, default_config
 from .diagnostics import (
     HypothesesUnmetError,
@@ -55,5 +58,3 @@ from .oracle import (
     root_chi_square_divergence,
     sample_iid,
 )
-
-__version__ = "0.4.0"

@@ -18,12 +18,12 @@ from .learner import Trajectory
 from .model import (
     FiniteExpFamily,
     ParamBox,
-    _data_indices,
+    _data_counts,
     _in_blocks,
     boundary_layer_contains,
     mean_parameter,
 )
-from .oracle import SampleChecks, TheoryConstants, empirical_stat_mean
+from .oracle import SampleChecks, TheoryConstants
 
 __all__ = [
     "BiasGridReport",
@@ -56,14 +56,13 @@ def cd_conditional_moments(fam: FiniteExpFamily, theta, data, m: int) -> tuple[n
     given theta, so the gradient covariance is the per-datum endpoint
     covariance summed and divided by n squared.
     """
-    items = _data_indices(fam, data)
-    counts = np.bincount(items, minlength=fam.n_states)
-    n = items.size
+    counts = _data_counts(fam, data)
+    n = int(counts.sum())
     km = kernel_power(build_gibbs_random_scan(fam, theta), m).probs
     rows, sq_rows = km @ fam.suff_stats, km @ fam.suff_stats**2
     per_state_var = np.sum(sq_rows, axis=1) - np.sum(rows**2, axis=1)
     var_trace = float(counts @ per_state_var) / n**2
-    mean = empirical_stat_mean(fam, items) - (counts / n) @ rows
+    mean = counts @ fam.suff_stats / n - (counts / n) @ rows
     return mean, var_trace
 
 
@@ -87,12 +86,16 @@ def expected_sq_distance_after_step(
 
 
 def _expected_sq_series(fam: FiniteExpFamily, box: ParamBox, traj: Trajectory, data, center):
-    """E[|theta_{t+1} - center|^2 | theta_t] for every step t of a trajectory."""
-    items = _data_indices(fam, data)
+    """E[|theta_{t+1} - center|^2 | theta_t] for every step t of a trajectory.
+
+    ``data`` goes to every step unchanged: a ``DataSample`` carries its state
+    counts, so no step recounts it, while an index array is counted once
+    per non-frozen step.
+    """
     thetas, etas = traj.thetas, traj.etas
     return np.array(
         [
-            expected_sq_distance_after_step(fam, box, thetas[t], etas[t], items, traj.m, center)
+            expected_sq_distance_after_step(fam, box, thetas[t], etas[t], data, traj.m, center)
             for t in range(traj.steps)
         ],
         dtype=float,
@@ -138,8 +141,8 @@ def bias_bound_grid(
     if not checks.passed:
         raise HypothesesUnmetError("sample failed its quality constraints; bound does not apply")
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    items = _data_indices(fam, data)
-    weights = np.bincount(items, minlength=fam.n_states) / items.size
+    counts = _data_counts(fam, data)
+    weights = counts / counts.sum()
     if stat_table is None:
         stat_table = m_step_stat_table(fam, thetas, constants.m)
     if mean_table is None:

@@ -18,11 +18,13 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import platform
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .config import ConfigError, RunConfig
 from .diagnostics import (
     BiasGridReport,
@@ -48,6 +50,7 @@ from .learner import (
 )
 from .model import FiniteExpFamily, ParamBox, _in_blocks, identifiability_report, mean_parameter
 from .oracle import (
+    DataSample,
     MleNonexistenceError,
     SampleChecks,
     TheoryConstants,
@@ -115,7 +118,7 @@ class CellTask:
     fam: FiniteExpFamily
     box: ParamBox
     schedule: Schedule
-    items: np.ndarray
+    data: DataSample
     data_seed: list
     n: int
     m: int
@@ -198,7 +201,7 @@ def _prepare_cells(
                         fam=fam,
                         box=box,
                         schedule=config.schedule,
-                        items=data.items,
+                        data=data,
                         data_seed=data_seed,
                         n=n,
                         m=m,
@@ -225,11 +228,11 @@ def evaluate_cell(task: CellTask, traj: Trajectory) -> CellOutcome:
     drift = mart = occ = bias = None
     checks = task.checks
     if task.exact_step_checks and checks is not None:
-        drift = drift_report(task.fam, task.box, traj, task.items, task.constants, checks)
+        drift = drift_report(task.fam, task.box, traj, task.data, task.constants, checks)
         if checks.passed:
             bias = bias_bound_grid(
                 task.fam,
-                task.items,
+                task.data,
                 task.constants,
                 checks,
                 task.grid,
@@ -237,7 +240,7 @@ def evaluate_cell(task: CellTask, traj: Trajectory) -> CellOutcome:
                 mean_table=task.mean_table,
             )
         if task.constants.drift_coeff > 0:
-            mart = martingale_report(task.fam, task.box, traj, task.items, task.constants, checks)
+            mart = martingale_report(task.fam, task.box, traj, task.data, task.constants, checks)
             occ = occupancy_report(traj, task.constants, checks.mle.theta)
     return CellOutcome(
         trajectory=traj,
@@ -254,7 +257,7 @@ def _run_cell(task: CellTask) -> CellOutcome:
         task.fam,
         task.box,
         task.schedule,
-        task.items,
+        task.data,
         m=task.m,
         steps=task.steps,
         burn_in=task.burn_in,
@@ -528,7 +531,13 @@ def run_experiment(
     if master_seed < 0:
         raise ConfigError("master seed must be nonnegative")
     out = _prepare_out_dir(out_dir)
-    _write(out / "config.json", _json_text({"config": config.to_dict(), "master_seed": master_seed}))
+    versions = {
+        "cdanneal": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+    doc = {"config": config.to_dict(), "master_seed": master_seed, "versions": versions}
+    _write(out / "config.json", _json_text(doc))
 
     tasks, constants = _prepare_cells(config, master_seed, config.exact_step_checks)
     outcomes = _map_tasks(tasks, workers)

@@ -25,7 +25,7 @@ from .kernel import _check_chain_length, build_gibbs_random_scan, kernel_power
 from .model import (
     FiniteExpFamily,
     ParamBox,
-    _data_indices,
+    _data_counts,
     boundary_layer_contains,
     mean_parameter,
 )
@@ -220,8 +220,7 @@ def _guarded_run(
         raise ValueError("burn_in must lie in [0, steps]")
     if box.dim != fam.dim:
         raise ValueError(f"box has dimension {box.dim}, the family {fam.dim}")
-    items = _data_indices(fam, data)
-    start = np.bincount(items, minlength=fam.n_states)
+    start = _data_counts(fam, data)
     stat_bound = fam.stat_bound
     theta = np.zeros(fam.dim) if theta_init is None else np.asarray(theta_init, dtype=float)
     if theta.shape != (fam.dim,):

@@ -3,15 +3,16 @@
 Everything here is exact: the state space is enumerated, so the log
 normalizer, its gradient (the mean of the sufficient statistic) and its
 Hessian (the covariance of the sufficient statistic) are plain sums over
-states.  The enumeration cap (4096 states) keeps every downstream quantity
-computable to machine precision.
+states.  The enumeration cap (4096 states, ``MAX_STATES``) keeps every
+downstream quantity computable to machine precision.  A sample enters every
+exact computation only through its state counts (:func:`_data_counts`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +33,8 @@ __all__ = [
 ]
 
 MAX_FVBM_SITES = 12
+# Dense S x S kernels of a larger family would not fit: S = 8192 is 512 MB each.
+MAX_STATES = 2**MAX_FVBM_SITES
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,13 +42,16 @@ class FiniteExpFamily:
     """Family p(x) = c(x) * exp(theta . phi(x) - A(theta)) over listed states.
 
     ``states`` holds one state per row, ``suff_stats`` the matching rows
-    phi(x), and ``log_carrier`` the values log c(x).  Instances are
-    immutable after construction and safe to share across threads.
+    phi(x), and ``log_carrier`` the values log c(x).  At most ``MAX_STATES``
+    states are accepted.  ``stat_bound`` is the uniform bound on the
+    sufficient statistic, max_j max_x |phi_j(x)|, computed once.  Instances
+    are immutable after construction and safe to share across threads.
     """
 
     states: np.ndarray
     suff_stats: np.ndarray
     log_carrier: np.ndarray
+    stat_bound: float = field(init=False)
 
     def __post_init__(self):
         states = np.atleast_2d(np.asarray(self.states))
@@ -57,11 +63,16 @@ class FiniteExpFamily:
             raise ValueError("states, suff_stats and log_carrier row counts differ")
         if states.shape[0] < 2:
             raise ValueError("need at least two states")
+        if states.shape[0] > MAX_STATES:
+            raise ValueError(
+                f"{states.shape[0]} states exceed the enumeration cap of {MAX_STATES}"
+            )
         if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(logc))):
             raise ValueError("non-finite sufficient statistic or carrier")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "suff_stats", phi)
         object.__setattr__(self, "log_carrier", logc)
+        object.__setattr__(self, "stat_bound", float(np.max(np.abs(phi))))
 
     @property
     def n_states(self) -> int:
@@ -75,11 +86,6 @@ class FiniteExpFamily:
     def dim(self) -> int:
         """Number of natural parameters d."""
         return self.suff_stats.shape[1]
-
-    @property
-    def stat_bound(self) -> float:
-        """Uniform bound on the sufficient statistic, max_j max_x |phi_j(x)|."""
-        return float(np.max(np.abs(self.suff_stats)))
 
     def state_labels(self) -> list[str]:
         return ["".join(str(int(v)) for v in row) for row in self.states]
@@ -205,12 +211,22 @@ def _index_array(items) -> np.ndarray:
     return items.astype(np.int64, copy=False)
 
 
-def _data_indices(fam: FiniteExpFamily, data) -> np.ndarray:
-    """State indices of a sample (a ``DataSample`` or an index array) as int64."""
-    items = _index_array(getattr(data, "items", data))
-    if items.max() >= fam.n_states:
+def _data_counts(fam: FiniteExpFamily, data) -> np.ndarray:
+    """State counts of a sample, shape (S,) int64; the sample size is their sum.
+
+    A ``DataSample`` carries its counts, so only their length is checked
+    (O(S)); an index array is validated and counted here.
+    """
+    counts = getattr(data, "counts", None)
+    if counts is None:
+        items = _index_array(data)
+        if items.max() >= fam.n_states:
+            raise ValueError("datum outside the state space")
+        return np.bincount(items, minlength=fam.n_states)
+    short = fam.n_states - counts.size
+    if short < 0:
         raise ValueError("datum outside the state space")
-    return items
+    return counts if short == 0 else np.concatenate([counts, np.zeros(short, np.int64)])
 
 
 def log_partition(fam: FiniteExpFamily, theta):

@@ -8,7 +8,7 @@ these values can serve as oracles for the stochastic learner.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .kernel import (
 from .model import (
     FiniteExpFamily,
     ParamBox,
-    _data_indices,
+    _data_counts,
     _in_blocks,
     _index_array,
     _per_point,
@@ -55,14 +55,28 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DataSample:
-    """An i.i.d. sample stored as indices into the family's state list."""
+    """An i.i.d. sample stored as indices into the family's state list.
+
+    ``items`` is a read-only int64 copy of the given indices, so the
+    caller's array is neither aliased nor frozen.  ``counts`` holds the
+    read-only state counts ``np.bincount(items)``, computed once: every
+    exact function reads the sample through them, so the per-step checks
+    never recount it.  Its length is max(items) + 1; the functions that
+    take a family pad it to the family's state count and refuse a sample
+    with a state beyond it.
+    """
 
     items: np.ndarray
     theta_star: np.ndarray
     seed: object
+    counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "items", _index_array(self.items))
+        items = _index_array(self.items).copy()
+        counts = np.bincount(items)
+        items.flags.writeable = counts.flags.writeable = False
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "theta_star", np.asarray(self.theta_star, dtype=float))
 
     @property
@@ -81,8 +95,8 @@ def sample_iid(fam: FiniteExpFamily, theta_star, n: int, seed) -> DataSample:
 
 
 def empirical_stat_mean(fam: FiniteExpFamily, data) -> np.ndarray:
-    items = _data_indices(fam, data)
-    return np.bincount(items, minlength=fam.n_states) @ fam.suff_stats / items.size
+    counts = _data_counts(fam, data)
+    return counts @ fam.suff_stats / counts.sum()
 
 
 class MleNonexistenceError(RuntimeError):
@@ -185,9 +199,8 @@ def check_constraint_mle(
 ) -> ConstraintCheck:
     """Check sqrt(n) * |mle - theta_star| < n**gamma."""
     _validate_gamma(gamma)
-    items = _data_indices(fam, data)
-    result = mle_result if mle_result is not None else mle(fam, items, box)
-    n = items.size
+    n = int(_data_counts(fam, data).sum())
+    result = mle_result if mle_result is not None else mle(fam, data, box)
     statistic = math.sqrt(n) * float(
         np.linalg.norm(result.theta - np.asarray(theta_star, dtype=float))
     )
@@ -213,21 +226,21 @@ def check_constraint_empirical_process(
     rows; the sup of sqrt(n) times their gap must stay below n**gamma.
     """
     _validate_gamma(gamma)
-    items = _data_indices(fam, data)
+    counts = _data_counts(fam, data)
+    n = int(counts.sum())
     theta_grid = np.atleast_2d(np.asarray(theta_grid, dtype=float))
     if theta_grid.size == 0:
         raise ValueError("theta grid is empty")
     if stat_table is None:
         stat_table = m_step_stat_table(fam, theta_grid, m)
-    counts = np.bincount(items, minlength=fam.n_states)
-    weights = counts / items.size
+    weights = counts / n
     target_probs = state_probs(fam, theta_star)
     # (G, d) gaps between the empirical and population row averages.
     gaps = np.einsum("s,gsd->gd", weights - target_probs, stat_table)
-    values = math.sqrt(items.size) * np.linalg.norm(gaps, axis=1)
+    values = math.sqrt(n) * np.linalg.norm(gaps, axis=1)
     worst = int(np.argmax(values))
     statistic = float(values[worst])
-    bound = float(items.size) ** gamma
+    bound = float(n) ** gamma
     return ConstraintCheck(
         passed=statistic < bound,
         statistic=statistic,

@@ -206,6 +206,34 @@ class TestDrift:
         assert var_trace > 0
 
 
+class TestSampleCountedOnce:
+    def test_reports_on_a_sample_never_recount_it(self, fvbm2, small_box, admissible_setup, monkeypatch):
+        m, data, consts, checks = admissible_setup
+        traj = run_cd(fvbm2, small_box, Schedule("harmonic", 1.0), data, m=m, steps=200,
+                      master_seed=26, replicate=0)
+        nonfrozen = int(np.sum(~traj.boundary_hits[: traj.steps]))
+        assert nonfrozen > 0
+        bincount, calls = np.bincount, []
+
+        def counting_bincount(*args, **kwargs):
+            # unweighted calls count data; the kernel builder's are weighted scatters
+            if kwargs.get("weights") is None:
+                calls.append(1)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting_bincount)
+        drift = drift_report(fvbm2, small_box, traj, data, consts, checks)
+        mart = martingale_report(fvbm2, small_box, traj, data, consts, checks)
+        assert len(calls) == 0
+        # an index array is counted once per non-frozen step of each report
+        drift_items = drift_report(fvbm2, small_box, traj, data.items, consts, checks)
+        mart_items = martingale_report(fvbm2, small_box, traj, data.items, consts, checks)
+        assert len(calls) == 2 * nonfrozen
+        assert np.array_equal(drift.lhs, drift_items.lhs)
+        assert np.array_equal(mart.cond_mean_out, mart_items.cond_mean_out)
+        assert np.array_equal(mart.cond_mean_in, mart_items.cond_mean_in)
+
+
 class TestMartingales:
     def test_increments_and_conditional_means(self, fvbm2, small_box, theta_star, small_bounds):
         m, n = 16, 1000

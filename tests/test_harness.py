@@ -1,13 +1,18 @@
 """Configuration round trips, output schemas, determinism and CLI wiring."""
 
 import hashlib
+import itertools
 import json
+import platform
 import shutil
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cdanneal
 import cdanneal.cli as cli
 from cdanneal.config import MAX_GRID_POINTS, ConfigError, RunConfig, default_config
 from cdanneal.harness import (
@@ -29,6 +34,14 @@ DUPLICATE_STATE_MODEL = {"states": [[0], [0]], "phi": [[0.0], [1.0]]}
 HUGE_GRID = {"model": {"type": "fvbm", "p": 4}, "theta_star": [0.0] * 10, "grid_per_axis": 9}
 # FVBM p = 6 has dim 21, so even 2 points per axis is 2**21 > MAX_GRID_POINTS.
 P6_GRID = {"model": {"type": "fvbm", "p": 6}, "theta_star": [0.0] * 21, "grid_per_axis": 2}
+# All of {0,1}^13 with phi = the first coordinate: one parameter, 3 grid points,
+# but 8192 states, so every dense Gibbs kernel would take 512 MB.
+SITES_13 = [list(x) for x in itertools.product((0, 1), repeat=13)]
+OVER_STATE_CAP = {
+    "model": {"states": SITES_13, "phi": [[x[0]] for x in SITES_13]},
+    "theta_star": [0.3],
+    "grid_per_axis": 3,
+}
 
 
 def small_config(**overrides) -> RunConfig:
@@ -347,6 +360,21 @@ class TestDiagnose:
         assert second.ok
         assert (out / "diagnose_summary.json").read_bytes() == summary_a
 
+    def test_config_records_versions_that_diagnose_keeps(self, run_dir, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(run_dir[0], out)
+        doc = json.loads((out / "config.json").read_text())
+        assert doc["versions"] == {
+            "cdanneal": cdanneal.__version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        }
+        before = file_digests(out)
+        assert diagnose_run(out).ok
+        after = file_digests(out)
+        assert set(after) - set(before) == {"diagnose_summary.json"}
+        assert {path: after[path] for path in before} == before
+
     def test_missing_run_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             diagnose_run(tmp_path / "nowhere")
@@ -472,6 +500,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    def test_model_over_the_state_cap_exits_two_before_allocating(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(small_config().to_dict(), **OVER_STATE_CAP)))
+        tracemalloc.start()
+        try:
+            code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad model document:")
+        assert "enumeration cap" in err and "Traceback" not in err
+        assert peak < 64 * 2**20
+        assert not (tmp_path / "o").exists()
 
     def test_failing_checks_exit_three(self, tmp_path, monkeypatch):
         monkeypatch.setattr(

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdanneal.model import (
+    MAX_FVBM_SITES,
+    MAX_STATES,
     FiniteExpFamily,
     ParamBox,
     ParamBoxError,
+    _data_counts,
     boundary_layer_contains,
     build_fvbm,
     family_from_json,
@@ -186,6 +189,41 @@ class TestBuildFvbm:
         for idx, x in enumerate(fam.states):
             energy = float(x @ w @ x)
             assert theta @ fam.suff_stats[idx] == pytest.approx(energy, abs=1e-12)
+
+
+class TestStateCap:
+    def test_family_at_the_cap_constructs(self):
+        fam = build_fvbm(MAX_FVBM_SITES)
+        assert fam.n_states == MAX_STATES == 4096
+
+    def test_family_over_the_cap_refused(self):
+        states = np.arange(MAX_STATES + 1)[:, None]
+        with pytest.raises(ValueError, match="enumeration cap"):
+            FiniteExpFamily(
+                states=states, suff_stats=states.astype(float), log_carrier=np.zeros(len(states))
+            )
+
+
+class TestDataCounts:
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (np.array([0.0, 1.0]), "state indices"),
+            ([2.0], "state indices"),
+            (np.array([-1, 2]), "negative state index"),
+            (np.array([], dtype=np.int64), "non-empty 1-d"),
+            (np.array([[0, 1]]), "non-empty 1-d"),
+            ([0, 4], "outside the state space"),
+        ],
+    )
+    def test_bad_index_arrays_refused(self, fvbm2, data, message):
+        with pytest.raises(ValueError, match=message):
+            _data_counts(fvbm2, data)
+
+    def test_counts_every_state_of_an_index_array(self, fvbm2):
+        counts = _data_counts(fvbm2, [3, 0, 3, 3])
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, [1, 0, 0, 3])
 
 
 class TestParamBox:

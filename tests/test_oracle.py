@@ -9,7 +9,7 @@ import pytest
 from _bruteforce import grid_bounds_per_point
 from cdanneal.kernel import kernel_power, build_gibbs_random_scan
 from cdanneal.learner import Schedule, run_cd
-from cdanneal.model import ParamBox, build_fvbm, state_probs
+from cdanneal.model import ParamBox, _data_counts, build_fvbm, state_probs
 from cdanneal.oracle import (
     DataSample,
     MleNonexistenceError,
@@ -56,6 +56,32 @@ class TestDataSample:
         data = DataSample(items=[0, 3, 1], theta_star=theta_star, seed=None)
         assert data.items.dtype == np.int64
         np.testing.assert_array_equal(data.items, [0, 3, 1])
+
+    def test_items_and_counts_reject_writes(self, theta_star):
+        data = DataSample(items=[0, 3, 1, 3], theta_star=theta_star, seed=None)
+        np.testing.assert_array_equal(data.counts, [1, 1, 0, 2])
+        for stored in (data.items, data.counts):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 2
+
+    def test_caller_array_neither_aliased_nor_frozen(self, theta_star):
+        source = np.array([0, 3, 1, 3], dtype=np.int64)
+        data = DataSample(items=source, theta_star=theta_star, seed=None)
+        source[:] = 2
+        np.testing.assert_array_equal(data.items, [0, 3, 1, 3])
+        np.testing.assert_array_equal(data.counts, [1, 1, 0, 2])
+
+    def test_counts_padded_to_the_family(self, fvbm2, theta_star):
+        data = DataSample(items=[1, 1, 0], theta_star=theta_star, seed=None)
+        np.testing.assert_array_equal(_data_counts(fvbm2, data), [1, 2, 0, 0])
+
+    def test_sample_of_a_larger_family_refused(self, fvbm2):
+        fvbm3 = build_fvbm(3)
+        data = DataSample(items=[0, 7, 2], theta_star=np.zeros(fvbm3.dim), seed=None)
+        with pytest.raises(ValueError, match="outside the state space"):
+            _data_counts(fvbm2, data)
+        with pytest.raises(ValueError, match="outside the state space"):
+            empirical_stat_mean(fvbm2, data)
 
 
 class TestSampleIid:
