@@ -109,7 +109,15 @@ def build_gibbs_random_scan(fam: FiniteExpFamily, theta) -> KernelMatrix:
     when it is built alone.
     """
     theta = _check_theta(fam, theta)
-    tables = _gibbs_tables(fam)
+    return KernelMatrix(theta=theta, probs=_gibbs_probs(fam, _gibbs_tables(fam), theta))
+
+
+def _gibbs_probs(fam: FiniteExpFamily, tables: _GibbsTables, theta: np.ndarray) -> np.ndarray:
+    """Transition matrix of :func:`build_gibbs_random_scan` at an already checked theta.
+
+    ``tables`` is ``_gibbs_tables(fam)``; a caller that builds many kernels
+    of one family looks it up once and skips every check.
+    """
     n = fam.n_states
     scores = _scores(fam, theta)
     gap = scores.take(tables.target, axis=-1) - scores.take(tables.other, axis=-1)
@@ -118,7 +126,7 @@ def build_gibbs_random_scan(fam: FiniteExpFamily, theta) -> KernelMatrix:
     if theta.ndim == 2:  # matrix g fills the flat positions from g * n * n on
         scatter = (np.arange(len(theta))[:, None] * (n * n) + scatter).reshape(-1)
     probs = np.bincount(scatter, weights=moves.ravel(), minlength=theta.size // fam.dim * n * n)
-    return KernelMatrix(theta=theta, probs=probs.reshape(theta.shape[:-1] + (n, n)))
+    return probs.reshape(theta.shape[:-1] + (n, n))
 
 
 def _check_chain_length(m) -> None:

@@ -3,11 +3,14 @@
 Each update starts one Gibbs chain at every datum and runs it m steps at
 the current parameter.  Given that parameter the chains are independent,
 so the endpoint counts are a sum of multinomial draws, one per occupied
-start state s with the rows K^m[s] of the m-step kernel as probabilities;
-the learner builds K^m once per update and draws all endpoints in one
-call.  The update freezes inside a shrinking layer along the
-parameter-box boundary, which keeps every iterate feasible because a
-single step of the bounded gradient cannot jump across the layer.
+start state s with the rows K^m[s] of the m-step kernel as probabilities.
+Once per run, the learner checks m, keys its generator, counts the data
+and reads what no update changes: the move tables, the occupied start
+states and n.  Once per update it builds the kernel at the current
+parameter, raises it to K^m and draws all endpoints in one call.  The
+update freezes inside a shrinking layer along the parameter-box boundary,
+which keeps every iterate feasible because a single step of the bounded
+gradient cannot jump across the layer.
 Randomness is counter based (Philox): the key is (master seed,
 replicate, stream) and the counter word is the step.  A run keys its
 generator once and starts step t at counter (0, t, 0, 0), so every step
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _check_chain_length, build_gibbs_random_scan, kernel_power
+from .kernel import _check_chain_length, _gibbs_probs, _gibbs_tables
 from .model import (
     FiniteExpFamily,
     ParamBox,
@@ -171,48 +174,47 @@ class Trajectory:
         return self.thetas.shape[1]
 
 
-def _cd_endpoints(
-    fam: FiniteExpFamily, theta: np.ndarray, start: np.ndarray, m: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Endpoint counts of m-step chains started with ``start[s]`` chains at each state s.
+def _cd_sampler(fam: FiniteExpFamily, start: np.ndarray, m: int, rng_at):
+    """``gradient(t, theta)``: the CD-m estimate of step t from ``start[s]`` chains at state s.
 
-    ``Generator.multinomial`` broadcasts over the occupied rows of K^m, so
-    the draw is one call whatever n and m are.  ``kernel_power`` rejects an
-    m that is not an integer >= 1.
+    What does not depend on theta is read once per run: the move tables,
+    the statistic, the occupied start states with their counts, and n.  A
+    call builds the kernel at theta, raises it to the m-th power and draws
+    the endpoint counts of every chain from ``rng_at(t)`` in one
+    ``Generator.multinomial`` broadcast over the occupied rows of K^m.  The
+    caller has checked m and every theta the guard lets through is finite.
     """
-    km = kernel_power(build_gibbs_random_scan(fam, theta), m).probs
+    tables = _gibbs_tables(fam)
+    phi = fam.suff_stats
     occupied = np.flatnonzero(start)
-    return rng.multinomial(start[occupied], km[occupied]).sum(axis=0)
+    chains = start[occupied]
+    n = start.sum()
 
+    def gradient(t: int, theta: np.ndarray) -> np.ndarray:
+        km = np.linalg.matrix_power(_gibbs_probs(fam, tables, theta), m)
+        end = rng_at(t).multinomial(chains, km[occupied]).sum(axis=0)
+        return (start - end) @ phi / n
 
-def _cd_direction(
-    fam: FiniteExpFamily, theta: np.ndarray, start: np.ndarray, m: int, rng: np.random.Generator
-) -> np.ndarray:
-    """CD-m gradient estimate from ``start[s]`` chains at each state s."""
-    end = _cd_endpoints(fam, theta, start, m, rng)
-    return (start - end) @ fam.suff_stats / start.sum()
-
-
-def _exact_direction(fam: FiniteExpFamily, theta: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Exact log-likelihood gradient of the sample with state counts ``start``."""
-    return start @ fam.suff_stats / start.sum() - mean_parameter(fam, theta)
+    return gradient
 
 
 def _guarded_run(
     fam: FiniteExpFamily,
     box: ParamBox,
     schedule: Schedule,
-    data,
+    start: np.ndarray,
     steps: int,
     burn_in: int,
     theta_init,
     gradient,
     m: int,
 ) -> Trajectory:
-    """Guarded updates along ``gradient(t, theta, start)``, the loop of every learner.
+    """Guarded updates along ``gradient(t, theta)``, the loop of every learner.
 
-    Inputs are validated once; ``start`` holds the state counts of the data.
-    A step inside the boundary layer is frozen and never calls ``gradient``.
+    ``start`` holds the state counts of the data.  A step inside the
+    boundary layer is frozen and never calls ``gradient``.  The guard of
+    the next step (or of the final iterate) raises ``ParamBoxError`` for an
+    iterate outside the box, so an escape never returns a trajectory.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -220,7 +222,6 @@ def _guarded_run(
         raise ValueError("burn_in must lie in [0, steps]")
     if box.dim != fam.dim:
         raise ValueError(f"box has dimension {box.dim}, the family {fam.dim}")
-    start = _data_counts(fam, data)
     stat_bound = fam.stat_bound
     theta = np.zeros(fam.dim) if theta_init is None else np.asarray(theta_init, dtype=float)
     if theta.shape != (fam.dim,):
@@ -234,9 +235,7 @@ def _guarded_run(
     for t in range(steps):
         frozen = hits[t] = boundary_layer_contains(box, theta, etas[t], stat_bound, fam.dim)
         if not frozen:
-            theta = theta + etas[t] * gradient(t, theta, start)
-        if not box.contains(theta):
-            raise RuntimeError("guarded update left the parameter box")
+            theta = theta + etas[t] * gradient(t, theta)
         thetas[t + 1] = theta
     hits[steps] = boundary_layer_contains(box, thetas[steps], etas[steps], stat_bound, fam.dim)
     return Trajectory(
@@ -271,11 +270,9 @@ def run_cd(
     """
     _check_chain_length(m)
     rng_at = _step_rngs(master_seed, replicate, RNG_STREAM_CD)
-
-    def gradient(t, theta, start):
-        return _cd_direction(fam, theta, start, m, rng_at(t))
-
-    return _guarded_run(fam, box, schedule, data, steps, burn_in, theta_init, gradient, m)
+    start = _data_counts(fam, data)
+    gradient = _cd_sampler(fam, start, m, rng_at)
+    return _guarded_run(fam, box, schedule, start, steps, burn_in, theta_init, gradient, m)
 
 
 def weighted_average_series(thetas: np.ndarray, etas: np.ndarray, t0: int) -> np.ndarray:
@@ -326,8 +323,10 @@ def run_exact_gradient(
     theta_init=None,
 ) -> Trajectory:
     """Run the exact-gradient baseline with the same guard and averaging."""
+    start = _data_counts(fam, data)
+    data_mean = start @ fam.suff_stats / start.sum()
 
-    def gradient(t, theta, start):
-        return _exact_direction(fam, theta, start)
+    def gradient(t, theta):
+        return data_mean - mean_parameter(fam, theta)
 
-    return _guarded_run(fam, box, schedule, data, steps, burn_in, theta_init, gradient, 0)
+    return _guarded_run(fam, box, schedule, start, steps, burn_in, theta_init, gradient, 0)

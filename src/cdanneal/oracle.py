@@ -57,8 +57,9 @@ __all__ = [
 class DataSample:
     """An i.i.d. sample stored as indices into the family's state list.
 
-    ``items`` is a read-only int64 copy of the given indices, so the
-    caller's array is neither aliased nor frozen.  ``counts`` holds the
+    ``items`` is a read-only int64 copy of the given indices and
+    ``theta_star`` a read-only float64 copy of the true parameter, so the
+    caller's arrays are neither aliased nor frozen.  ``counts`` holds the
     read-only state counts ``np.bincount(items)``, computed once: every
     exact function reads the sample through them, so the per-step checks
     never recount it.  Its length is max(items) + 1; the functions that
@@ -74,10 +75,11 @@ class DataSample:
     def __post_init__(self):
         items = _index_array(self.items).copy()
         counts = np.bincount(items)
-        items.flags.writeable = counts.flags.writeable = False
+        theta_star = np.array(self.theta_star, dtype=float)
+        items.flags.writeable = counts.flags.writeable = theta_star.flags.writeable = False
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "theta_star", np.asarray(self.theta_star, dtype=float))
+        object.__setattr__(self, "theta_star", theta_star)
 
     @property
     def n(self) -> int:

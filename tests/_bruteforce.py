@@ -1,9 +1,12 @@
-"""Path-enumeration oracle for exact conditional expectations.
+"""Reference computations the package's fast paths are checked against.
 
-Enumerates every joint sequence of (coordinate, new value) choices the
-random-scan sampler can make across all chains and steps, computing each
-path's probability from raw state weights.  Deliberately independent of
-the package's kernel-matrix and moment machinery so it can vouch for them.
+The path-enumeration oracle enumerates every joint sequence of
+(coordinate, new value) choices the random-scan sampler can make across
+all chains and steps, computing each path's probability from raw state
+weights.  It is deliberately independent of the package's kernel-matrix
+and moment machinery so it can vouch for them.  The CD step reference
+uses only the public, validating kernel and RNG entries, so it can vouch
+for the learner's per-run sampler.
 """
 
 import itertools
@@ -111,3 +114,24 @@ def grid_bounds_per_point(fam, box, theta_star, per_axis):
         "mixing_bound": mixing,
         "kernel_lipschitz": zeta,
     }
+
+
+def cd_endpoints(fam, theta, start, m, rng):
+    """Endpoint counts of m-step chains, ``start[s]`` of them started at state s.
+
+    K^m comes from the public ``build_gibbs_random_scan`` and
+    ``kernel_power``; the counts are one multinomial draw per occupied row.
+    """
+    from cdanneal.kernel import build_gibbs_random_scan, kernel_power
+
+    km = kernel_power(build_gibbs_random_scan(fam, theta), m).probs
+    occupied = np.flatnonzero(start)
+    return rng.multinomial(start[occupied], km[occupied]).sum(axis=0)
+
+
+def cd_step(fam, theta, eta, start, m, master_seed, replicate, t):
+    """theta_{t+1} of an unfrozen CD-m step t, drawn from ``counter_rng(master_seed, replicate, t, 1)``."""
+    from cdanneal.learner import counter_rng
+
+    end = cd_endpoints(fam, theta, start, m, counter_rng(master_seed, replicate, t, 1))
+    return theta + eta * ((start - end) @ fam.suff_stats / start.sum())

@@ -8,22 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdanneal import learner
+from cdanneal import kernel, learner
 from cdanneal.diagnostics import cd_conditional_moments
 from cdanneal.kernel import build_gibbs_random_scan, kernel_power, m_step_stat_rows
 from cdanneal.learner import (
     Schedule,
     Trajectory,
-    _cd_direction,
-    _cd_endpoints,
+    _guarded_run,
     counter_rng,
     delta_n,
     run_cd,
     run_exact_gradient,
     weighted_average_series,
 )
-from cdanneal.model import ParamBox, boundary_layer_contains, mean_parameter
+from cdanneal.model import ParamBox, ParamBoxError, boundary_layer_contains, mean_parameter
 from cdanneal.oracle import mle, sample_iid
+
+from _bruteforce import cd_endpoints, cd_step
 
 
 class TestSchedule:
@@ -232,7 +233,7 @@ class TestCdEndpoints:
         cov = sum(c * (np.diag(row) - np.outer(row, row)) for c, row in zip(start, km))
         draws = np.stack(
             [
-                _cd_endpoints(fvbm2, theta, start, m, counter_rng(21, m, t, 1))
+                cd_endpoints(fvbm2, theta, start, m, counter_rng(21, m, t, 1))
                 for t in range(self.DRAWS)
             ]
         ).astype(float)
@@ -292,6 +293,20 @@ class TestCdStep:
         with pytest.raises(ValueError, match="box has dimension 5"):
             run(fvbm2, ParamBox(3.0, 5), Schedule("harmonic", 1.0), np.array([0, 1]), steps=3)
 
+    @pytest.mark.parametrize("jump", [1000.0, np.nan])
+    @pytest.mark.parametrize("steps", [1, 4])
+    def test_escape_raises_before_a_trajectory_returns(self, fvbm2, steps, jump):
+        # the gradient callback jumps out of the box at the first step; the
+        # guard of the next step, or of the final iterate, must refuse it
+        box = ParamBox(10.0, 3)
+        counts = np.array([0, 1, 2, 3])
+
+        def escape(t, theta):
+            return np.full(3, jump)
+
+        with pytest.raises((ParamBoxError, RuntimeError)):
+            _guarded_run(fvbm2, box, Schedule("fixed", 0.1), counts, steps, 0, None, escape, 1)
+
     def test_large_box_has_no_hits(self, fvbm2, theta_star):
         # a wide box never triggers the guard at desk scale
         box = ParamBox(10.0, 3)
@@ -343,29 +358,68 @@ class TestRunCd:
             np.testing.assert_allclose(traj.weighted_avgs[t - 7], direct, atol=1e-12)
 
 
+def _assert_replays_reference(fam, data, start, m, seed, steps):
+    """Every theta_{t+1} of ``run_cd`` on replicates 0, 1 and 5 equals ``cd_step`` bit for bit.
+
+    The box of half-width 1.25 makes the guard freeze some steps; a frozen
+    step must copy theta exactly.
+    """
+    box = ParamBox(1.25, fam.dim)
+    sch = Schedule("harmonic", 1.0)
+    moved = frozen = 0
+    for rep in (0, 1, 5):
+        traj = run_cd(fam, box, sch, data, m=m, steps=steps, master_seed=seed, replicate=rep)
+        for t in range(traj.steps):
+            theta = traj.thetas[t]
+            if traj.boundary_hits[t]:
+                frozen += 1
+                np.testing.assert_array_equal(traj.thetas[t + 1], theta)
+            else:
+                moved += 1
+                expected = cd_step(fam, theta, traj.etas[t], start, m, seed, rep, t)
+                np.testing.assert_array_equal(traj.thetas[t + 1], expected)
+    assert moved > 0 and frozen > 0
+
+
 class TestRunCdRng:
     def test_steps_replay_from_counter_rng(self, fvbm2, theta_star):
         # the per-run generator draws at step t exactly what the replay
         # entry counter_rng(seed, replicate, t, 1) draws
-        box = ParamBox(1.25, 3)
-        sch = Schedule("harmonic", 1.0)
-        m, seed = 3, 17
         data = sample_iid(fvbm2, theta_star, 80, seed=21)
         start = np.bincount(data.items, minlength=fvbm2.n_states)
-        moved = frozen = 0
-        for rep in (0, 1, 5):
-            traj = run_cd(fvbm2, box, sch, data, m=m, steps=200, master_seed=seed, replicate=rep)
-            for t in range(traj.steps):
-                theta = traj.thetas[t]
-                if traj.boundary_hits[t]:
-                    frozen += 1
-                    np.testing.assert_array_equal(traj.thetas[t + 1], theta)
-                    continue
-                moved += 1
-                rng = counter_rng(seed, rep, t, 1)
-                step = traj.etas[t] * _cd_direction(fvbm2, theta, start, m, rng)
-                np.testing.assert_array_equal(traj.thetas[t + 1], theta + step)
-        assert moved > 0 and frozen > 0
+        _assert_replays_reference(fvbm2, data, start, 3, 17, 200)
+
+    @pytest.mark.parametrize("as_items", [False, True], ids=["DataSample", "index_array"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 16])
+    def test_every_step_replays_the_public_reference(self, fvbm2, theta_star, m, as_items):
+        # the per-run sampler computes each update with the same float
+        # operations and draws as the validating public kernel entries
+        sample = sample_iid(fvbm2, theta_star, 60, seed=[29, m])
+        start = np.bincount(sample.items, minlength=fvbm2.n_states)
+        data = sample.items if as_items else sample
+        _assert_replays_reference(fvbm2, data, start, m, 29, 120)
+
+    def test_per_run_invariants_built_once(self, fvbm2, theta_star, monkeypatch):
+        # no update re-checks theta or looks the move tables up again
+        data = sample_iid(fvbm2, theta_star, 100, seed=4)
+        calls = {"_check_theta": 0, "_gibbs_tables": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            wrapped = counting(name, getattr(kernel, name))
+            for module in (kernel, learner):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+        box = ParamBox(1.25, 3)
+        traj = run_cd(fvbm2, box, Schedule("harmonic", 1.0), data, m=3, steps=200, master_seed=3)
+        assert (~traj.boundary_hits[:-1]).sum() > 100
+        assert calls == {"_check_theta": 0, "_gibbs_tables": 1}
 
     def test_one_seed_sequence_per_run(self, fvbm2, theta_star, monkeypatch):
         # the generator is keyed once per run, not once per step

@@ -71,6 +71,17 @@ class TestDataSample:
         np.testing.assert_array_equal(data.items, [0, 3, 1, 3])
         np.testing.assert_array_equal(data.counts, [1, 1, 0, 2])
 
+    def test_theta_star_is_a_frozen_copy(self):
+        source = np.array([0.5, 1.0, 0.5])
+        data = DataSample(items=[0, 3], theta_star=source, seed=None)
+        source[:] = 9.0
+        np.testing.assert_array_equal(data.theta_star, [0.5, 1.0, 0.5])
+        assert data.theta_star.dtype == np.float64
+        assert not data.theta_star.flags.writeable
+        assert source.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            data.theta_star[0] = 2.0
+
     def test_counts_padded_to_the_family(self, fvbm2, theta_star):
         data = DataSample(items=[1, 1, 0], theta_star=theta_star, seed=None)
         np.testing.assert_array_equal(_data_counts(fvbm2, data), [1, 2, 0, 0])
