@@ -43,10 +43,19 @@ __all__ = [
 ]
 
 SLACK_TOL = 1e-10
+# A finite run stands in for a limit by its trailing TAIL_WINDOW share; the
+# occupancy surrogate may fall OCCUPANCY_TOL short of its threshold.
+TAIL_WINDOW = 0.1
+OCCUPANCY_TOL = 0.05
 
 
 class HypothesesUnmetError(RuntimeError):
     """A check was requested whose hypotheses the inputs do not satisfy."""
+
+
+def _tail_start(length: int) -> int:
+    """First index of the trailing ``TAIL_WINDOW`` of a series, at most its last index."""
+    return min(int(np.ceil((1.0 - TAIL_WINDOW) * length)), length - 1)
 
 
 def cd_conditional_moments(fam: FiniteExpFamily, theta, data, m: int) -> tuple[np.ndarray, float]:
@@ -258,11 +267,10 @@ class MartingaleReport:
     def violations_in(self) -> int:
         return self._violations(self.cond_mean_in, self.active_in)
 
-    def tail_ratio(self, which: str = "out", tail_fraction: float = 0.1) -> float:
+    def tail_ratio(self, which: str = "out") -> float:
         """Max normalized partial sum over the trailing window (limit surrogate)."""
         sums = self.partial_sum_out if which == "out" else self.partial_sum_in
-        start = int(np.ceil((1.0 - tail_fraction) * len(sums)))
-        start = min(start, len(sums) - 1)
+        start = _tail_start(len(sums))
         return float(np.max(sums[start:] / self.rate_sums[start:]))
 
 
@@ -346,16 +354,11 @@ class OccupancyReport:
     threshold: float
     ball_radius: float
 
-    def passes(self, tolerance: float = 0.05) -> bool:
-        return self.fraction_tail_min >= self.threshold - tolerance
+    def passes(self) -> bool:
+        return self.fraction_tail_min >= self.threshold - OCCUPANCY_TOL
 
 
-def occupancy_report(
-    traj: Trajectory,
-    constants: TheoryConstants,
-    mle_theta,
-    tail_fraction: float = 0.1,
-) -> OccupancyReport:
+def occupancy_report(traj: Trajectory, constants: TheoryConstants, mle_theta) -> OccupancyReport:
     """Occupancy of layer-or-ball against the theoretical lower threshold.
 
     The limiting statement is about a liminf of prefix fractions, which a
@@ -369,10 +372,9 @@ def occupancy_report(
     inside = traj.boundary_hits | (h <= constants.ball_radius)
     etas = traj.etas[: traj.steps + 1]
     prefix = np.cumsum(etas * inside) / np.cumsum(etas)
-    start = min(int(np.ceil((1.0 - tail_fraction) * len(prefix))), len(prefix) - 1)
     return OccupancyReport(
         fraction_full=float(prefix[-1]),
-        fraction_tail_min=float(np.min(prefix[start:])),
+        fraction_tail_min=float(np.min(prefix[_tail_start(len(prefix)):])),
         threshold=constants.occupancy_threshold,
         ball_radius=constants.ball_radius,
     )
@@ -403,16 +405,16 @@ def envelope_coverage(values, bound: float) -> float:
 
 def rate_fit(
     deltas_by_n: dict[int, "np.ndarray | list[float]"],
-    rate_coeffs: dict[int, float] | None = None,
-    gamma: float | None = None,
+    bounds: dict[int, float] | None = None,
 ) -> RateFit:
     """Least-squares slope of log median error versus log sample size.
 
     Requires at least three distinct sizes with at least ten replicates
-    each.  When per-size rate coefficients and gamma are supplied, the
-    fraction of replicates under the theoretical envelope is reported per
-    size and overall; a size whose envelope is infinite covers nan and is
-    left out of the overall fraction (nan when no envelope is finite).
+    each.  When ``bounds`` gives the theoretical envelope of each size
+    (``TheoryConstants.rate_bound(n)``), the fraction of replicates under it
+    is reported per size and overall; a size whose envelope is infinite
+    covers nan and is left out of the overall fraction (nan when no
+    envelope is finite).
     """
     if len(deltas_by_n) < 3:
         raise ValueError("need at least 3 distinct sample sizes")
@@ -427,11 +429,11 @@ def rate_fit(
     slope, intercept = np.polyfit(np.log(sizes), np.log(medians), 1)
     residuals = np.log(medians) - (slope * np.log(sizes) + intercept)
     coverage = None
-    if rate_coeffs is not None and gamma is not None:
+    if bounds is not None:
         per_size = {}
         covered = total = 0
         for n, g in zip(sizes, groups):
-            bound = rate_coeffs[int(n)] * float(n) ** (-(1.0 - 2.0 * gamma) / 3.0)
+            bound = bounds[int(n)]
             per_size[int(n)] = envelope_coverage(g, bound)
             if math.isfinite(bound):
                 covered += int(np.sum(g < bound))

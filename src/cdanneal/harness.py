@@ -48,7 +48,14 @@ from .learner import (
     run_cd,
     weighted_average_series,
 )
-from .model import FiniteExpFamily, ParamBox, _in_blocks, identifiability_report, mean_parameter
+from .model import (
+    IDENTIFIABILITY_PROBES,
+    FiniteExpFamily,
+    ParamBox,
+    _in_blocks,
+    identifiability_report,
+    mean_parameter,
+)
 from .oracle import (
     DataSample,
     MleNonexistenceError,
@@ -75,7 +82,6 @@ __all__ = [
 
 RATE_SLOPE_BAND = (-0.60, -0.15)
 SLOPE_GAP_TOL = 0.15
-OCCUPANCY_TOL = 0.05
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +275,8 @@ def _run_cell(task: CellTask) -> CellOutcome:
 
 
 def _map_tasks(tasks: list[CellTask], workers: int) -> list[CellOutcome]:
-    if workers <= 1 or len(tasks) <= 1:
+    workers = min(workers, len(tasks))  # an idle worker would still start and import numpy
+    if workers <= 1:
         return [_run_cell(t) for t in tasks]
     with multiprocessing.Pool(processes=workers) as pool:
         return pool.map(_run_cell, tasks)
@@ -351,7 +358,7 @@ def _diagnostic_entries(task: CellTask, outcome: CellOutcome) -> list[dict]:
             no_drift,
             None if occ is None else {
                 "steps": outcome.trajectory.steps + 1,
-                "violations": 0 if occ.passes(OCCUPANCY_TOL) else 1,
+                "violations": 0 if occ.passes() else 1,
                 "worst_slack": occ.fraction_tail_min - occ.threshold,
                 "hypotheses_met": True,
                 "threshold": occ.threshold,
@@ -630,7 +637,7 @@ def verify_assumptions(config: RunConfig, out_dir=None) -> dict:
         "identifiability": {
             "min_eigenvalue": ident.min_eigenvalue,
             "ok": ident.ok,
-            "probes": ident.n_probes,
+            "probes": IDENTIFIABILITY_PROBES,
         },
         "grid_bounds": {
             "min_fisher_eig": bounds.min_fisher_eig,
@@ -682,8 +689,7 @@ def rate_sweep(config: RunConfig, out_dir, master_seed: int = 0, workers: int = 
     slopes = {}
     for m in sorted(int(v) for v in config.m_values):
         deltas_by_n = {n: run.deltas[(n, m)] for n in sorted(int(v) for v in config.n_values)}
-        coeffs = {n: run.constants[(n, m)].rate_coeff for n in deltas_by_n}
-        fit = rate_fit(deltas_by_n, rate_coeffs=coeffs, gamma=config.gamma)
+        fit = rate_fit(deltas_by_n, {n: run.constants[(n, m)].rate_bound(n) for n in deltas_by_n})
         fits[m] = fit
         slopes[m] = fit.slope
         medians = fit.medians

@@ -153,15 +153,18 @@ def reversibility_violation(fam: FiniteExpFamily, kernel: KernelMatrix) -> float
     return float(np.max(np.abs(flow - np.swapaxes(flow, -1, -2))))
 
 
-def spectral_gap(fam: FiniteExpFamily, kernel: KernelMatrix, check_tol: float = 1e-8):
+REVERSIBILITY_TOL = 1e-8
+
+
+def spectral_gap(fam: FiniteExpFamily, kernel: KernelMatrix):
     """Second-largest absolute eigenvalue of the kernel on L2(pi).
 
     Computed from the symmetrized matrix D^{1/2} K D^{-1/2} with D the
     stationary distribution; that route is only valid for reversible
-    kernels, so detailed balance is verified first.  A float for one
-    kernel, an array of shape (G,) for a stack.
+    kernels, so detailed balance is verified first (to ``REVERSIBILITY_TOL``).
+    A float for one kernel, an array of shape (G,) for a stack.
     """
-    if reversibility_violation(fam, kernel) > check_tol:
+    if reversibility_violation(fam, kernel) > REVERSIBILITY_TOL:
         raise ValueError("kernel is not reversible; symmetric eigensolve is invalid")
     root = np.sqrt(state_probs(fam, kernel.theta))
     sym = (root[..., :, None] / root[..., None, :]) * kernel.probs
@@ -187,7 +190,6 @@ class ZetaEstimate:
     """Lower estimate of the kernel Lipschitz constant with grid metadata."""
 
     zeta: float
-    max_pair_distance: float
     n_pairs: int
 
 
@@ -216,7 +218,7 @@ def estimate_zeta(fam: FiniteExpFamily, thetas, pairs=None) -> ZetaEstimate:
     if not np.any(used):
         raise ValueError("all parameter pairs coincide")
     seps, dists = seps[used], dists[used]
-    return ZetaEstimate(float(np.max(dists / seps)), float(np.max(seps)), len(seps))
+    return ZetaEstimate(float(np.max(dists / seps)), len(seps))
 
 
 def m_step_stat_rows(fam: FiniteExpFamily, theta, m: int) -> np.ndarray:

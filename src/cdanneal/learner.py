@@ -118,18 +118,11 @@ class Schedule:
         if self.kind == "power" and not (0.5 < self.exponent <= 1.0):
             raise ValueError("power schedule needs exponent in (1/2, 1]")
 
-    def rate(self, t: int) -> float:
-        """eta_t, bit for bit the entry t of :meth:`rates`."""
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        return float(self._rates_at(np.array([t], dtype=float))[0])
-
     def rates(self, count: int) -> np.ndarray:
-        return self._rates_at(np.arange(count, dtype=float))
-
-    def _rates_at(self, t: np.ndarray) -> np.ndarray:
+        """eta_0 .. eta_{count - 1}."""
+        t = np.arange(count, dtype=float)
         if self.kind == "fixed":
-            return np.full(t.shape, self.eta0)
+            return np.full(count, self.eta0)
         if self.kind == "harmonic":
             return self.eta0 / (t + 1.0)
         return self.eta0 / (t + 1.0) ** self.exponent
@@ -202,7 +195,6 @@ def _guarded_run(
     fam: FiniteExpFamily,
     box: ParamBox,
     schedule: Schedule,
-    start: np.ndarray,
     steps: int,
     burn_in: int,
     theta_init,
@@ -211,10 +203,10 @@ def _guarded_run(
 ) -> Trajectory:
     """Guarded updates along ``gradient(t, theta)``, the loop of every learner.
 
-    ``start`` holds the state counts of the data.  A step inside the
-    boundary layer is frozen and never calls ``gradient``.  The guard of
-    the next step (or of the final iterate) raises ``ParamBoxError`` for an
-    iterate outside the box, so an escape never returns a trajectory.
+    A step inside the boundary layer is frozen and never calls ``gradient``.
+    The guard of the next step (or of the final iterate) raises
+    ``ParamBoxError`` for an iterate outside the box, so an escape never
+    returns a trajectory.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -272,7 +264,7 @@ def run_cd(
     rng_at = _step_rngs(master_seed, replicate, RNG_STREAM_CD)
     start = _data_counts(fam, data)
     gradient = _cd_sampler(fam, start, m, rng_at)
-    return _guarded_run(fam, box, schedule, start, steps, burn_in, theta_init, gradient, m)
+    return _guarded_run(fam, box, schedule, steps, burn_in, theta_init, gradient, m)
 
 
 def weighted_average_series(thetas: np.ndarray, etas: np.ndarray, t0: int) -> np.ndarray:
@@ -326,7 +318,7 @@ def run_exact_gradient(
     start = _data_counts(fam, data)
     data_mean = start @ fam.suff_stats / start.sum()
 
-    def gradient(t, theta):
+    def gradient(_t, theta):
         return data_mean - mean_parameter(fam, theta)
 
-    return _guarded_run(fam, box, schedule, start, steps, burn_in, theta_init, gradient, 0)
+    return _guarded_run(fam, box, schedule, steps, burn_in, theta_init, gradient, 0)

@@ -117,26 +117,26 @@ class MleResult:
     nll_path: np.ndarray
 
 
-def mle(
-    fam: FiniteExpFamily,
-    data,
-    box: ParamBox,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> MleResult:
+# Newton stops once the moment residual |grad A(theta) - target| drops below
+# MLE_TOL, and gives up after MLE_MAX_ITER iterations.
+MLE_TOL = 1e-10
+MLE_MAX_ITER = 200
+
+
+def mle(fam: FiniteExpFamily, data, box: ParamBox) -> MleResult:
     """Damped Newton solve of grad A(theta) = empirical statistic mean.
 
     The negative log-likelihood is strictly convex, so Newton with
     backtracking decreases it monotonically; failure to reach the residual
-    tolerance within ``max_iter`` iterations signals a boundary-of-mean-range
-    sample (for example all data identical) and raises.  So does numerical
-    convergence at an escaped parameter: a residual can only dip under the
-    tolerance with coordinates beyond about -log(tol) when the maximizer
-    sits at infinity, whereas count-based interior solutions stay within
-    log(n) of the origin.
+    tolerance ``MLE_TOL`` within ``MLE_MAX_ITER`` iterations signals a
+    boundary-of-mean-range sample (for example all data identical) and
+    raises.  So does numerical convergence at an escaped parameter: a
+    residual can only dip under the tolerance with coordinates beyond about
+    -log(MLE_TOL) when the maximizer sits at infinity, whereas count-based
+    interior solutions stay within log(n) of the origin.
     """
     target = empirical_stat_mean(fam, data)
-    escape = max(2.0 * box.half_width, -0.9 * math.log(tol))
+    escape = max(2.0 * box.half_width, -0.9 * math.log(MLE_TOL))
 
     def nll(theta):
         return log_partition(fam, theta) - float(theta @ target)
@@ -144,10 +144,10 @@ def mle(
     theta = np.zeros(fam.dim)
     current = nll(theta)
     path = [current]
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MLE_MAX_ITER + 1):
         grad = mean_parameter(fam, theta) - target
         residual = float(np.linalg.norm(grad))
-        if residual < tol:
+        if residual < MLE_TOL:
             if float(np.max(np.abs(theta))) > escape:
                 raise MleNonexistenceError(
                     "statistic mean is numerically on the boundary of the mean range"
@@ -175,7 +175,7 @@ def mle(
         theta, current = candidate, value
         path.append(current)
     raise MleNonexistenceError(
-        f"Newton did not converge in {max_iter} iterations; "
+        f"Newton did not converge in {MLE_MAX_ITER} iterations; "
         "the sample's statistic mean has no interior preimage"
     )
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cdanneal.diagnostics import (
 from cdanneal.learner import Schedule, run_cd
 from cdanneal.model import ParamBox, mean_parameter, state_probs
 from cdanneal.oracle import (
+    TheoryConstants,
     assemble_constants,
     check_sample,
     compute_grid_bounds,
@@ -300,7 +302,9 @@ class TestOccupancy:
         assert consts_n1.occupancy_threshold == 0.0
         traj = run_cd(fvbm2, small_box, Schedule("harmonic", 1.0), data, m=m, steps=60,
                       master_seed=26, replicate=0)
-        assert occupancy_report(traj, consts_n1, checks.mle.theta).passes(tolerance=0.0)
+        report = occupancy_report(traj, consts_n1, checks.mle.theta)
+        assert report.fraction_tail_min >= report.threshold
+        assert report.passes()
 
     def test_fraction_weakly_grows_with_radius(self, fvbm2, small_box, admissible_setup):
         m, data, consts, checks = admissible_setup
@@ -311,6 +315,43 @@ class TestOccupancy:
             shrunk = dataclasses.replace(consts, ball_radius=radius)
             fractions.append(occupancy_report(traj, shrunk, checks.mle.theta).fraction_full)
         assert all(b >= a for a, b in zip(fractions, fractions[1:]))
+
+
+class TestTailWindow:
+    # (steps, start of the martingale window over `steps` sums, start of the
+    # occupancy window over `steps` + 1 prefix fractions): the trailing 10%
+    # begins at ceil(0.9 L), clamped to L - 1 for the 5-step run.
+    @pytest.mark.parametrize("steps, mart_start, occ_start", [(40, 36, 37), (5, 4, 5)])
+    def test_tail_statistics_read_the_trailing_tenth(
+        self, fvbm2, small_box, admissible_setup, steps, mart_start, occ_start
+    ):
+        m, data, consts, checks = admissible_setup
+        traj = run_cd(fvbm2, small_box, Schedule("harmonic", 1.0), data, m=m, steps=steps,
+                      master_seed=28, replicate=0)
+        h = np.linalg.norm(traj.thetas - checks.mle.theta, axis=1)
+        # a ball holding about half the iterates, so both indicators switch
+        consts = dataclasses.replace(consts, ball_radius=float(np.median(h)))
+        mart = martingale_report(fvbm2, small_box, traj, data, consts, checks, exact=False)
+        assert len(mart.partial_sum_out) == steps
+        for which in ("out", "in"):
+            sums = getattr(mart, f"partial_sum_{which}")
+            tail = sums[mart_start:] / mart.rate_sums[mart_start:]
+            assert mart.tail_ratio(which) == float(np.max(tail))
+
+        inside = traj.boundary_hits | (h <= consts.ball_radius)
+        prefix = np.cumsum(traj.etas * inside) / np.cumsum(traj.etas)
+        assert len(prefix) == steps + 1
+        occ = occupancy_report(traj, consts, checks.mle.theta)
+        assert occ.fraction_tail_min == float(np.min(prefix[occ_start:]))
+        assert occ.fraction_full == float(prefix[-1])
+
+
+def _envelope(coeffs: dict, gamma: float = 0.05) -> dict:
+    """``TheoryConstants.rate_bound(n)`` of each size n for rate coefficient ``coeffs[n]``."""
+    return {
+        n: TheoryConstants.rate_bound(SimpleNamespace(rate_coeff=c, gamma=gamma), n)
+        for n, c in coeffs.items()
+    }
 
 
 class TestRateFit:
@@ -329,20 +370,19 @@ class TestRateFit:
 
     def test_coverage_against_envelope(self):
         deltas = {n: [float(n) ** (-1 / 3)] * 10 for n in (100, 1000, 10_000)}
-        coeffs = {n: 2.0 for n in deltas}
-        fit = rate_fit(deltas, rate_coeffs=coeffs, gamma=0.05)
+        fit = rate_fit(deltas, _envelope({n: 2.0 for n in deltas}))
         assert fit.coverage["overall"] == 1.0
 
     def test_infinite_envelope_has_no_coverage(self):
         deltas = {n: [float(n) ** (-1 / 3)] * 10 for n in (100, 1000, 10_000)}
         # bounds: inf at n=100, about 0.25 > 0.1 at n=1000, about 0.03 < 0.046 at n=10^4
-        coeffs = {100: math.inf, 1000: 2.0, 10_000: 0.5}
-        fit = rate_fit(deltas, rate_coeffs=coeffs, gamma=0.05)
+        bounds = _envelope({100: math.inf, 1000: 2.0, 10_000: 0.5})
+        fit = rate_fit(deltas, bounds)
         assert math.isnan(fit.coverage["per_size"][100])
         assert fit.coverage["per_size"][1000] == 1.0
         assert fit.coverage["per_size"][10_000] == 0.0
         assert fit.coverage["overall"] == 0.5  # finite-bound sizes only
-        fit = rate_fit(deltas, rate_coeffs={n: math.inf for n in deltas}, gamma=0.05)
+        fit = rate_fit(deltas, _envelope({n: math.inf for n in deltas}))
         assert math.isnan(fit.coverage["overall"])
 
     def test_degenerate_inputs_rejected(self):

@@ -14,6 +14,7 @@ import pytest
 
 import cdanneal
 import cdanneal.cli as cli
+from cdanneal import harness
 from cdanneal.config import MAX_GRID_POINTS, ConfigError, RunConfig, default_config
 from cdanneal.harness import (
     DiagnoseResult,
@@ -280,6 +281,31 @@ class TestRunExperiment:
         parallel = tmp_path / "parallel"
         run_experiment(config, parallel, master_seed=5, workers=2)
         assert tree_digest(out / "cells") == tree_digest(parallel / "cells")
+
+    @pytest.mark.parametrize("cells, workers, pools", [(3, 64, [3]), (3, 2, [2]), (1, 64, [])])
+    def test_worker_pool_capped_at_the_cell_count(self, monkeypatch, cells, workers, pools):
+        opened = []
+
+        class RecordingPool:
+            """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+
+            def __init__(self, processes):
+                opened.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(harness.multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(harness, "_run_cell", str.upper)
+        tasks = ["a", "b", "c"][:cells]
+        assert harness._map_tasks(tasks, workers) == [t.upper() for t in tasks]
+        assert opened == pools
 
     def test_svg_emitted_on_request(self, tmp_path):
         config = small_config(seeds=[0])

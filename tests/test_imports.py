@@ -1,7 +1,8 @@
 """Static checks on the package sources.
 
 No module imports a name it never uses, every ``__all__`` entry is bound in
-its module, and the package root imports only names its submodules export.
+its module, every function reads each of its parameters, and the package
+root imports only names its submodules export.
 """
 
 import ast
@@ -11,6 +12,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cdanneal"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+SOURCES = sorted(path.name for path in PACKAGE.glob("*.py"))
 
 
 def _exported(tree: ast.Module) -> list[str]:
@@ -84,6 +86,62 @@ def test_export_checker_flags_unbound_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_defines_every_export(module):
     assert unbound_exports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters that the body of their function (or lambda) never reads.
+
+    A read inside a nested function counts.  Names starting with ``_`` are
+    exempt: they mark an argument a callback protocol passes but the
+    function does not need.
+    """
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args]
+        params += [a.arg for a in [args.vararg, *args.kwonlyargs, args.kwarg] if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        unread += [
+            f"{name}({param}) (line {node.lineno})"
+            for param in params
+            if param not in read and not param.startswith("_")
+        ]
+    return unread
+
+
+def test_parameter_checker_flags_unread_names():
+    source = (
+        "def run(fam, box, steps, _t, *args, scale=1.0, **extra):\n"
+        "    box = fam\n"
+        "    def inner(theta):\n"
+        "        return steps * box\n"
+        "    return inner, (lambda t, u: t)\n"
+        "class Report:\n"
+        "    def passes(self, tolerance=0.05):\n"
+        "        return self.ok\n"
+    )
+    assert unread_parameters(source) == [
+        "run(args) (line 1)",
+        "run(scale) (line 1)",
+        "run(extra) (line 1)",
+        "inner(theta) (line 3)",
+        "passes(tolerance) (line 7)",
+        "<lambda>(u) (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("module", SOURCES)
+def test_module_reads_every_parameter(module):
+    assert unread_parameters((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 def test_package_root_imports_only_exported_names():
