@@ -2,7 +2,7 @@
 families, plus exact enumeration-based convergence diagnostics."""
 
 # Bound before the submodules load: ``harness`` records it in config.json.
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .config import ConfigError, RunConfig, default_config
 from .diagnostics import (
@@ -22,7 +22,6 @@ from .kernel import (
     estimate_zeta,
     kernel_distance,
     kernel_power,
-    kernel_to_csv,
     m_step_stat_rows,
     m_step_stat_table,
     spectral_gap,

@@ -27,6 +27,7 @@ from .oracle import SampleChecks, TheoryConstants
 
 __all__ = [
     "BiasGridReport",
+    "BoundCheck",
     "DriftReport",
     "HypothesesUnmetError",
     "MartingaleReport",
@@ -112,23 +113,54 @@ def _expected_sq_series(fam: FiniteExpFamily, box: ParamBox, traj: Trajectory, d
 
 
 @dataclass(frozen=True)
-class BiasGridReport:
-    thetas: np.ndarray
+class BoundCheck:
+    """The inequality ``lhs <= rhs`` judged at every active point.
+
+    A point violates the bound when its slack ``rhs - lhs`` falls below
+    ``-tol``; violations count only when the bound's hypotheses hold.
+    """
+
     lhs: np.ndarray
     rhs: np.ndarray
+    active: np.ndarray
+    hypotheses_met: bool
     tol: float = SLACK_TOL
 
     @property
-    def slacks(self) -> np.ndarray:
+    def slack(self) -> np.ndarray:
         return self.rhs - self.lhs
 
     @property
-    def worst_slack(self) -> float:
-        return float(np.min(self.slacks))
+    def steps(self) -> int:
+        return int(np.sum(self.active))
+
+    @property
+    def worst_slack(self) -> float | None:
+        if not np.any(self.active):
+            return None
+        return float(np.min(self.slack[self.active]))
 
     @property
     def violations(self) -> int:
-        return int(np.sum(self.slacks < -self.tol))
+        if not self.hypotheses_met:
+            return 0
+        return int(np.sum(self.active & (self.slack < -self.tol)))
+
+    def entry(self) -> dict:
+        """The check's ``diagnostics.json`` record."""
+        return {
+            "steps": self.steps,
+            "violations": self.violations,
+            "worst_slack": self.worst_slack,
+            "hypotheses_met": self.hypotheses_met,
+        }
+
+
+@dataclass(frozen=True, kw_only=True)
+class BiasGridReport(BoundCheck):
+    """Exact gradient bias versus its bound at every point of a parameter grid."""
+
+    thetas: np.ndarray
 
 
 def bias_bound_grid(
@@ -159,35 +191,19 @@ def bias_bound_grid(
     lhs = np.linalg.norm(mean_table - np.einsum("s,gsd->gd", weights, stat_table), axis=1)
     dist = np.linalg.norm(thetas - checks.mle.theta, axis=1)
     rhs = constants.fluctuation_scale + constants.bias_coeff * dist
-    return BiasGridReport(thetas=thetas, lhs=lhs, rhs=rhs)
+    return BiasGridReport(
+        thetas=thetas, lhs=lhs, rhs=rhs, active=np.ones(len(lhs), dtype=bool), hypotheses_met=True
+    )
 
 
-@dataclass(frozen=True)
-class DriftReport:
+@dataclass(frozen=True, kw_only=True)
+class DriftReport(BoundCheck):
     """Per-step exact conditional decrement versus the quadratic drift bound."""
 
     t: np.ndarray
     h: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
     in_layer: np.ndarray
     in_ball: np.ndarray
-    hypotheses_met: bool
-    tol: float = SLACK_TOL
-
-    @property
-    def slack(self) -> np.ndarray:
-        return self.rhs - self.lhs
-
-    @property
-    def worst_slack(self) -> float:
-        return float(np.min(self.slack))
-
-    @property
-    def violations(self) -> int:
-        if not self.hypotheses_met:
-            return 0
-        return int(np.sum(self.slack < -self.tol))
 
 
 def drift_report(
@@ -222,9 +238,10 @@ def drift_report(
         h=h,
         lhs=_expected_sq_series(fam, box, traj, data, center),
         rhs=rhs,
+        active=np.ones(steps, dtype=bool),
+        hypotheses_met=checks.passed,
         in_layer=in_layer,
         in_ball=in_ball,
-        hypotheses_met=checks.passed,
     )
 
 
@@ -236,7 +253,8 @@ class MartingaleReport:
     outside both the boundary layer and the ball; ``increment_in[t]`` the
     one attached to steps inside either.  The process sums each increment
     over the steps where its indicator is active; the super-martingale
-    property asserts nonpositive conditional means on active steps.
+    property asserts nonpositive conditional means on active steps, which
+    ``out`` and ``inside`` check (lhs the exact conditional mean, rhs 0).
     """
 
     t: np.ndarray
@@ -244,28 +262,13 @@ class MartingaleReport:
     increment_in: np.ndarray
     active_out: np.ndarray
     active_in: np.ndarray
-    cond_mean_out: np.ndarray | None
-    cond_mean_in: np.ndarray | None
+    out: BoundCheck | None
+    inside: BoundCheck | None
     partial_sum_out: np.ndarray
     partial_sum_in: np.ndarray
     rate_sums: np.ndarray
     bound_realized: float
     bound_analytic: float
-    hypotheses_met: bool
-    tol: float = SLACK_TOL
-
-    def _violations(self, cond, active) -> int:
-        if cond is None or not self.hypotheses_met:
-            return 0
-        return int(np.sum(active & (cond > self.tol)))
-
-    @property
-    def violations_out(self) -> int:
-        return self._violations(self.cond_mean_out, self.active_out)
-
-    @property
-    def violations_in(self) -> int:
-        return self._violations(self.cond_mean_in, self.active_in)
 
     def tail_ratio(self, which: str = "out") -> float:
         """Max normalized partial sum over the trailing window (limit surrogate)."""
@@ -313,11 +316,16 @@ def martingale_report(
     active_in = in_layer | in_ball
     active_out = ~active_in
 
-    cond_out = cond_in = None
+    out = inside = None
     if exact:
         cond_diff = _expected_sq_series(fam, box, traj, data, center) - h2[:steps]
-        cond_out = cond_diff + etas * drift_out - four_dc2 * etas**2
-        cond_in = cond_diff - etas * drift_in - four_dc2 * etas**2
+        zero = np.zeros(steps)
+        out = BoundCheck(
+            cond_diff + etas * drift_out - four_dc2 * etas**2, zero, active_out, checks.passed
+        )
+        inside = BoundCheck(
+            cond_diff - etas * drift_in - four_dc2 * etas**2, zero, active_in, checks.passed
+        )
 
     rate_sums = np.cumsum(etas)
     realized_out = np.abs(increment_out) * active_out
@@ -334,14 +342,13 @@ def martingale_report(
         increment_in=increment_in,
         active_out=active_out,
         active_in=active_in,
-        cond_mean_out=cond_out,
-        cond_mean_in=cond_in,
+        out=out,
+        inside=inside,
         partial_sum_out=np.cumsum(increment_out * active_out),
         partial_sum_in=np.cumsum(increment_in * active_in),
         rate_sums=rate_sums,
         bound_realized=bound_realized,
         bound_analytic=bound_analytic,
-        hypotheses_met=checks.passed,
     )
 
 
@@ -349,34 +356,53 @@ def martingale_report(
 class OccupancyReport:
     """Rate-weighted fraction of time spent in the boundary layer or the ball."""
 
+    steps: int
     fraction_full: float
     fraction_tail_min: float
     threshold: float
     ball_radius: float
+    hypotheses_met: bool
 
     def passes(self) -> bool:
         return self.fraction_tail_min >= self.threshold - OCCUPANCY_TOL
 
+    def entry(self) -> dict:
+        """:meth:`BoundCheck.entry`'s record, plus the threshold and both fractions."""
+        return {
+            "steps": self.steps,
+            "violations": int(self.hypotheses_met and not self.passes()),
+            "worst_slack": self.fraction_tail_min - self.threshold,
+            "hypotheses_met": self.hypotheses_met,
+            "threshold": self.threshold,
+            "fraction_full": self.fraction_full,
+            "fraction_tail_min": self.fraction_tail_min,
+        }
 
-def occupancy_report(traj: Trajectory, constants: TheoryConstants, mle_theta) -> OccupancyReport:
-    """Occupancy of layer-or-ball against the theoretical lower threshold.
+
+def occupancy_report(
+    traj: Trajectory, constants: TheoryConstants, checks: SampleChecks
+) -> OccupancyReport:
+    """Occupancy of layer-or-ball around the sample's MLE against the theoretical threshold.
 
     The limiting statement is about a liminf of prefix fractions, which a
     finite run can only bound; the surrogate reported here is the minimum
-    prefix fraction over the trailing window.
+    prefix fraction over the trailing window.  Like the drift and
+    martingale bounds, the threshold is only claimed for samples meeting
+    their quality constraints.
     """
     if constants.drift_coeff <= 0:
         raise HypothesesUnmetError("drift coefficient not positive; ball undefined")
-    mle_theta = np.asarray(mle_theta, dtype=float)
-    h = np.linalg.norm(traj.thetas - mle_theta, axis=1)
+    h = np.linalg.norm(traj.thetas - checks.mle.theta, axis=1)
     inside = traj.boundary_hits | (h <= constants.ball_radius)
     etas = traj.etas[: traj.steps + 1]
     prefix = np.cumsum(etas * inside) / np.cumsum(etas)
     return OccupancyReport(
+        steps=len(prefix),
         fraction_full=float(prefix[-1]),
         fraction_tail_min=float(np.min(prefix[_tail_start(len(prefix)):])),
         threshold=constants.occupancy_threshold,
         ball_radius=constants.ball_radius,
+        hypotheses_met=checks.passed,
     )
 
 

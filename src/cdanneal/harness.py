@@ -247,7 +247,7 @@ def evaluate_cell(task: CellTask, traj: Trajectory) -> CellOutcome:
             )
         if task.constants.drift_coeff > 0:
             mart = martingale_report(task.fam, task.box, traj, task.data, task.constants, checks)
-            occ = occupancy_report(traj, task.constants, checks.mle.theta)
+            occ = occupancy_report(traj, task.constants, checks)
     return CellOutcome(
         trajectory=traj,
         delta=delta_n(traj, task.theta_star, task.tail_fraction),
@@ -307,70 +307,21 @@ def _trajectory_csv(traj: Trajectory, theta_star: np.ndarray, mle_theta) -> str:
     return _csv(header, columns + [dist_to_mle, dist_to_true])
 
 
-def _martingale_entry(report: MartingaleReport, which: str) -> dict:
-    cond = getattr(report, f"cond_mean_{which}")
-    active = getattr(report, f"active_{which}")
-    worst = None
-    if cond is not None and bool(np.any(active)):
-        # slack is the negated conditional mean; positive means healthy.
-        worst = float(-np.max(cond[active]))
-    return {
-        "steps": int(np.sum(active)),
-        "violations": getattr(report, f"violations_{which}"),
-        "worst_slack": worst,
-        "hypotheses_met": report.hypotheses_met,
-    }
-
-
 def _diagnostic_entries(task: CellTask, outcome: CellOutcome) -> list[dict]:
     """One entry per check; a check that did not run records why."""
-    drift, bias, mart, occ = outcome.drift, outcome.bias, outcome.martingale, outcome.occupancy
+    mart = outcome.martingale
     no_drift = "drift coefficient not positive or skipped"
     table = [
-        (
-            "drift",
-            "skipped" if task.checks is not None else "mle does not exist",
-            None if drift is None else {
-                "steps": len(drift.t),
-                "violations": drift.violations,
-                "worst_slack": drift.worst_slack,
-                "hypotheses_met": drift.hypotheses_met,
-            },
-        ),
-        (
-            "bias_bound",
-            "sample constraints unverified or skipped",
-            None if bias is None else {
-                "steps": len(bias.lhs),
-                "violations": bias.violations,
-                "worst_slack": bias.worst_slack,
-                "hypotheses_met": True,
-            },
-        ),
-        (
-            "martingale_outside_ball",
-            no_drift,
-            None if mart is None else _martingale_entry(mart, "out"),
-        ),
-        ("martingale_inside", no_drift, None if mart is None else _martingale_entry(mart, "in")),
-        (
-            "occupancy",
-            no_drift,
-            None if occ is None else {
-                "steps": outcome.trajectory.steps + 1,
-                "violations": 0 if occ.passes() else 1,
-                "worst_slack": occ.fraction_tail_min - occ.threshold,
-                "hypotheses_met": True,
-                "threshold": occ.threshold,
-                "fraction_full": occ.fraction_full,
-                "fraction_tail_min": occ.fraction_tail_min,
-            },
-        ),
+        ("drift", "skipped" if task.checks is not None else "mle does not exist", outcome.drift),
+        ("bias_bound", "sample constraints unverified or skipped", outcome.bias),
+        ("martingale_outside_ball", no_drift, None if mart is None else mart.out),
+        ("martingale_inside", no_drift, None if mart is None else mart.inside),
+        ("occupancy", no_drift, outcome.occupancy),
     ]
     skipped = {"steps": 0, "violations": 0, "worst_slack": None, "hypotheses_met": False}
     return [
-        {"check": check, **(entry if entry is not None else dict(skipped, reason=reason))}
-        for check, reason, entry in table
+        {"check": check, **(record.entry() if record is not None else dict(skipped, reason=reason))}
+        for check, reason, record in table
     ]
 
 
@@ -386,15 +337,13 @@ def _write_cell_diagnostics(cell_dir: Path, task: CellTask, outcome: CellOutcome
             ),
         )
     if mart is not None:
-        missing = np.full(len(mart.t), np.nan)
-        conds = [missing if c is None else c for c in (mart.cond_mean_out, mart.cond_mean_in)]
         _write(
             cell_dir / "martingale.csv",
             _csv(
                 ["t", "increment_out", "increment_in", "active_out", "active_in",
                  "cond_mean_out", "cond_mean_in"],
                 [mart.t, mart.increment_out, mart.increment_in, mart.active_out, mart.active_in,
-                 *conds],
+                 mart.out.lhs, mart.inside.lhs],
             ),
         )
     entries = _diagnostic_entries(task, outcome)
@@ -834,7 +783,7 @@ def diagnose_run(out_dir) -> DiagnoseResult:
     cells = []
     for task, traj in zip(tasks, trajectories):
         entries = _write_cell_diagnostics(cells_dir / task.label, task, evaluate_cell(task, traj))
-        violations = sum(e["violations"] for e in entries if e.get("hypotheses_met"))
+        violations = sum(e["violations"] for e in entries)
         cells.append({"cell": task.label, "violations": violations, "ok": violations == 0})
     all_ok = all(cell["ok"] for cell in cells)
     _write(out / "diagnose_summary.json", _json_text(_scrub({"cells": cells, "ok": all_ok})))

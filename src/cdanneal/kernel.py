@@ -23,7 +23,6 @@ __all__ = [
     "flip_tables",
     "kernel_distance",
     "kernel_power",
-    "kernel_to_csv",
     "m_step_stat_rows",
     "m_step_stat_table",
     "reversibility_violation",
@@ -235,13 +234,3 @@ def m_step_stat_table(fam: FiniteExpFamily, thetas, m: int) -> np.ndarray:
     """:func:`m_step_stat_rows` over a parameter grid, shape (G, S, d), in blocks."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     return _in_blocks(fam, thetas, lambda t: m_step_stat_rows(fam, t, m))
-
-
-def kernel_to_csv(fam: FiniteExpFamily, kernel: KernelMatrix, path) -> None:
-    """Dump the dense matrix as CSV, header and first column the state labels."""
-    labels = fam.state_labels()
-    lines = ["state," + ",".join(labels)]
-    for label, row in zip(labels, kernel.probs):
-        lines.append(label + "," + ",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -87,9 +87,6 @@ class FiniteExpFamily:
         """Number of natural parameters d."""
         return self.suff_stats.shape[1]
 
-    def state_labels(self) -> list[str]:
-        return ["".join(str(int(v)) for v in row) for row in self.states]
-
 
 class ParamBoxError(ValueError):
     """Raised when a parameter leaves the admissible box."""

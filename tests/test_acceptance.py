@@ -176,7 +176,7 @@ class TestCriterion04Martingales:
         active = 0
         for data, checks, traj in passing:
             report = martingale_report(fvbm2, small_box, traj, data.items, consts, checks)
-            violations += report.violations_out + report.violations_in
+            violations += report.out.violations + report.inside.violations
             active += int(np.sum(report.active_out)) + int(np.sum(report.active_in))
             assert report.bound_realized <= report.bound_analytic
         _report(4, violations == 0, f"{active} active steps, {violations} violations")
@@ -272,7 +272,7 @@ class TestCriterion09Occupancy:
             fvbm2, small_box, Schedule("harmonic", 1.0), data,
             m=ADMISSIBLE_M, steps=100_000, burn_in=50, master_seed=13, replicate=0,
         )
-        occ = occupancy_report(traj, consts, checks.mle.theta)
+        occ = occupancy_report(traj, consts, checks)
         mart = martingale_report(
             fvbm2, small_box, traj, data.items, consts, checks, exact=False
         )

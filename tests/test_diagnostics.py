@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from cdanneal.diagnostics import (
+    SLACK_TOL,
+    BoundCheck,
     HypothesesUnmetError,
     bias_bound_grid,
     cd_conditional_moments,
@@ -97,6 +99,31 @@ class TestExactExpectedGradient:
         assert np.all(np.abs(grad - mean) <= 4 * se)
 
 
+class TestBoundCheck:
+    def test_no_active_point_covers_nothing(self):
+        # a violated bound off the active set, as martingale_outside_ball is
+        # when every iterate stays in the layer or the ball
+        check = BoundCheck(np.array([1.0, 2.0]), np.zeros(2), np.zeros(2, dtype=bool), True)
+        assert check.steps == 0
+        assert check.worst_slack is None
+        assert check.violations == 0
+        assert check.entry() == {
+            "steps": 0, "violations": 0, "worst_slack": None, "hypotheses_met": True,
+        }
+
+    def test_violations_need_the_hypotheses_and_exceed_the_tolerance(self):
+        lhs = np.array([0.0, 1.0, 2.0, 0.5 * SLACK_TOL, 3.0])
+        active = np.array([True, True, True, True, False])
+        met = BoundCheck(lhs, np.ones(5), active, True)
+        assert met.steps == 4
+        assert met.worst_slack == -1.0
+        assert met.violations == 1
+        unmet = BoundCheck(lhs, np.ones(5), active, False)
+        assert unmet.worst_slack == -1.0
+        assert unmet.violations == 0
+        assert unmet.entry()["hypotheses_met"] is False
+
+
 class TestBruteForceAgreement:
     @pytest.mark.parametrize(
         "items,m",
@@ -121,7 +148,7 @@ class TestBiasBound:
         # at the MLE the distance term vanishes; only the fluctuation
         # allowance remains on the right side
         assert report.rhs[0] == pytest.approx(consts.fluctuation_scale)
-        assert report.slacks[0] >= 0
+        assert report.slack[0] >= 0
 
     def test_slack_positive_on_grid(self, fvbm2, small_box, admissible_setup):
         m, data, consts, checks = admissible_setup
@@ -232,8 +259,8 @@ class TestSampleCountedOnce:
         mart_items = martingale_report(fvbm2, small_box, traj, data.items, consts, checks)
         assert len(calls) == 2 * nonfrozen
         assert np.array_equal(drift.lhs, drift_items.lhs)
-        assert np.array_equal(mart.cond_mean_out, mart_items.cond_mean_out)
-        assert np.array_equal(mart.cond_mean_in, mart_items.cond_mean_in)
+        assert np.array_equal(mart.out.lhs, mart_items.out.lhs)
+        assert np.array_equal(mart.inside.lhs, mart_items.inside.lhs)
 
 
 class TestMartingales:
@@ -245,8 +272,8 @@ class TestMartingales:
         traj = run_cd(fvbm2, small_box, Schedule("harmonic", 1.0), data, m=m, steps=200,
                       master_seed=22, replicate=0)
         report = martingale_report(fvbm2, small_box, traj, data.items, consts, checks)
-        assert report.violations_out == 0
-        assert report.violations_in == 0
+        assert report.out.violations == 0
+        assert report.inside.violations == 0
         assert report.bound_realized <= report.bound_analytic
         # realized increments reconstruct the squared-distance differences
         h2 = np.sum((traj.thetas - checks.mle.theta) ** 2, axis=1)
@@ -265,8 +292,36 @@ class TestMartingales:
         eta0 = traj.etas[0]
         expected = -eta0 * consts.fluctuation_scale**2 / (2 * consts.drift_coeff) - 4 * 3 * eta0**2
         assert report.increment_in[0] == pytest.approx(expected, abs=1e-12)
-        assert report.cond_mean_in[0] == pytest.approx(expected, abs=1e-12)
+        assert report.inside.lhs[0] == pytest.approx(expected, abs=1e-12)
         assert report.increment_in[0] < 0
+
+    def test_checks_judge_the_exact_conditional_means(self, fvbm2, small_box, admissible_setup):
+        m, data, consts, checks = admissible_setup
+        traj = run_cd(fvbm2, small_box, Schedule("harmonic", 1.0), data, m=m, steps=120,
+                      master_seed=29, replicate=0)
+        center = checks.mle.theta
+        h = np.linalg.norm(traj.thetas - center, axis=1)
+        # a ball holding about half the iterates, so both indicators switch
+        consts = dataclasses.replace(consts, ball_radius=float(np.median(h)))
+        mart = martingale_report(fvbm2, small_box, traj, data, consts, checks)
+        etas = traj.etas[: traj.steps]
+        cond_diff = drift_report(fvbm2, small_box, traj, data, consts, checks).lhs - h[:-1] ** 2
+        beta, b, a = consts.ball_factor, consts.fluctuation_scale, consts.drift_coeff
+        four_dc2 = 4.0 * fvbm2.dim * fvbm2.stat_bound**2
+        conds = {
+            "out": cond_diff + etas * (2.0 * beta * (beta - 1.0) * b**2 / a) - four_dc2 * etas**2,
+            "inside": cond_diff - etas * (b**2 / (2.0 * a)) - four_dc2 * etas**2,
+        }
+        for which, active in (("out", mart.active_out), ("inside", mart.active_in)):
+            check, cond = getattr(mart, which), conds[which]
+            assert 0 < int(np.sum(active)) < traj.steps
+            assert np.array_equal(check.active, active)
+            np.testing.assert_allclose(check.lhs, cond, rtol=0, atol=1e-12)
+            assert check.steps == int(np.sum(active))
+            assert check.worst_slack == -float(np.max(check.lhs[active]))
+            assert check.violations == int(np.sum(active & (check.lhs > SLACK_TOL)))
+        skipped = martingale_report(fvbm2, small_box, traj, data, consts, checks, exact=False)
+        assert skipped.out is None and skipped.inside is None
 
     def test_refuses_nonpositive_drift_coefficient(self, fvbm2, box3, theta_star):
         bounds = compute_grid_bounds(fvbm2, box3, theta_star, grid_per_axis=5)
@@ -279,7 +334,7 @@ class TestMartingales:
         with pytest.raises(HypothesesUnmetError):
             martingale_report(fvbm2, box3, traj, data.items, consts, checks)
         with pytest.raises(HypothesesUnmetError):
-            occupancy_report(traj, consts, checks.mle.theta)
+            occupancy_report(traj, consts, checks)
 
 
 class TestOccupancy:
@@ -289,7 +344,7 @@ class TestOccupancy:
                       master_seed=25, replicate=0)
         # the ball radius at these constants covers the whole box
         assert consts.ball_radius > small_box.diameter
-        report = occupancy_report(traj, consts, checks.mle.theta)
+        report = occupancy_report(traj, consts, checks)
         assert report.fraction_full == 1.0
         assert report.fraction_tail_min == 1.0
         assert report.passes()
@@ -302,9 +357,24 @@ class TestOccupancy:
         assert consts_n1.occupancy_threshold == 0.0
         traj = run_cd(fvbm2, small_box, Schedule("harmonic", 1.0), data, m=m, steps=60,
                       master_seed=26, replicate=0)
-        report = occupancy_report(traj, consts_n1, checks.mle.theta)
+        report = occupancy_report(traj, consts_n1, checks)
         assert report.fraction_tail_min >= report.threshold
         assert report.passes()
+
+    def test_unmet_hypotheses_count_no_violation(self, fvbm2, small_box, admissible_setup):
+        m, data, consts, checks = admissible_setup
+        traj = run_cd(fvbm2, small_box, Schedule("harmonic", 1.0), data, m=m, steps=100,
+                      master_seed=25, replicate=0)
+        # a ball too small to hold any iterate fails the occupancy threshold
+        tiny = dataclasses.replace(consts, ball_radius=1e-9)
+        failing = dataclasses.replace(
+            checks, empirical_check=dataclasses.replace(checks.empirical_check, passed=False)
+        )
+        met, unmet = occupancy_report(traj, tiny, checks), occupancy_report(traj, tiny, failing)
+        assert not met.passes() and not unmet.passes()
+        assert met.steps == unmet.steps == traj.steps + 1
+        assert (met.entry()["hypotheses_met"], met.entry()["violations"]) == (True, 1)
+        assert (unmet.entry()["hypotheses_met"], unmet.entry()["violations"]) == (False, 0)
 
     def test_fraction_weakly_grows_with_radius(self, fvbm2, small_box, admissible_setup):
         m, data, consts, checks = admissible_setup
@@ -313,7 +383,7 @@ class TestOccupancy:
         fractions = []
         for radius in (1e-6, 0.05, 0.5, consts.ball_radius):
             shrunk = dataclasses.replace(consts, ball_radius=radius)
-            fractions.append(occupancy_report(traj, shrunk, checks.mle.theta).fraction_full)
+            fractions.append(occupancy_report(traj, shrunk, checks).fraction_full)
         assert all(b >= a for a, b in zip(fractions, fractions[1:]))
 
 
@@ -341,7 +411,7 @@ class TestTailWindow:
         inside = traj.boundary_hits | (h <= consts.ball_radius)
         prefix = np.cumsum(traj.etas * inside) / np.cumsum(traj.etas)
         assert len(prefix) == steps + 1
-        occ = occupancy_report(traj, consts, checks.mle.theta)
+        occ = occupancy_report(traj, consts, checks)
         assert occ.fraction_tail_min == float(np.min(prefix[occ_start:]))
         assert occ.fraction_full == float(prefix[-1])
 

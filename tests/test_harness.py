@@ -45,6 +45,11 @@ OVER_STATE_CAP = {
 }
 
 
+# The fields of every diagnostics.json record; occupancy adds OCCUPANCY_KEYS when it runs.
+RECORD_KEYS = {"steps", "violations", "worst_slack", "hypotheses_met"}
+OCCUPANCY_KEYS = {"threshold", "fraction_full", "fraction_tail_min"}
+
+
 def small_config(**overrides) -> RunConfig:
     base = dict(
         n_values=[60],
@@ -225,8 +230,13 @@ class TestRunExperiment:
         entries = json.loads((cell / "diagnostics.json").read_text())
         checks = {e["check"] for e in entries}
         assert {"drift", "bias_bound", "martingale_outside_ball", "martingale_inside", "occupancy"} <= checks
+        # half-width 3 leaves the drift coefficient negative at m = 1: no ball,
+        # so the martingale and occupancy checks record why they did not run
+        assert not meta["constants"]["hypotheses_met"]
+        ran = {"drift", "bias_bound"} if meta["sample_checks"]["passed"] else {"drift"}
         for entry in entries:
-            assert {"check", "steps", "violations", "worst_slack"} <= set(entry)
+            extra = {"check"} if entry["check"] in ran else {"check", "reason"}
+            assert set(entry) == RECORD_KEYS | extra
 
     def test_plot_data_written(self, run_dir):
         out, _ = run_dir
@@ -422,6 +432,28 @@ class TestDiagnose:
         after = file_digests(out)
         assert set(after) - set(before) == {"diagnose_summary.json"}
         assert {path: after[path] for path in before} == before
+
+    def test_failed_sample_leaves_occupancy_unjudged(self, tmp_path):
+        # at master seed 0 the n = 100 sample of replicate 1 fails its quality
+        # constraints, so no check of its cell holds its hypotheses
+        config = small_config(
+            n_values=[100], m_values=[16], seeds=[1], iterations=60, burn_in=6,
+            half_width=1.25, grid_per_axis=9,
+        )
+        out = tmp_path / "run"
+        run_experiment(config, out, master_seed=0)
+        cell = out / "cells" / "n100_m16_s1"
+        assert json.loads((cell / "meta.json").read_text())["sample_checks"]["passed"] is False
+        entries = {e["check"]: e for e in json.loads((cell / "diagnostics.json").read_text())}
+        occupancy = entries["occupancy"]
+        assert set(occupancy) == {"check"} | RECORD_KEYS | OCCUPANCY_KEYS
+        assert occupancy["steps"] == 61
+        assert occupancy["hypotheses_met"] is False
+        assert occupancy["violations"] == 0
+        for check in ("drift", "martingale_outside_ball", "martingale_inside"):
+            assert set(entries[check]) == {"check"} | RECORD_KEYS
+            assert entries[check]["hypotheses_met"] is False
+        assert diagnose_run(out).cells == [{"cell": "n100_m16_s1", "violations": 0, "ok": True}]
 
 
 def file_digests(root: Path) -> dict:

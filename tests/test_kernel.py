@@ -13,7 +13,6 @@ from cdanneal.kernel import (
     flip_tables,
     kernel_distance,
     kernel_power,
-    kernel_to_csv,
     m_step_stat_rows,
     reversibility_violation,
     spectral_gap,
@@ -276,15 +275,3 @@ class TestStatRows:
         rows = m_step_stat_rows(fvbm2, theta_star, 300)
         mean = mean_parameter(fvbm2, theta_star)
         assert np.max(np.abs(rows - mean)) < 1e-8
-
-
-class TestCsvExport:
-    def test_round_trips_through_text(self, fvbm2, tmp_path):
-        kernel = build_gibbs_random_scan(fvbm2, [0.5, 1.0, 0.5])
-        path = tmp_path / "kernel.csv"
-        kernel_to_csv(fvbm2, kernel, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "state,00,01,10,11"
-        assert len(lines) == 5
-        parsed = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
-        np.testing.assert_array_equal(parsed, kernel.probs)
