@@ -293,7 +293,7 @@ def martingale_report(
     of the increments are computed from transition rows and checked for the
     nonpositive orientation on active steps.
     """
-    if constants.drift_coeff <= 0:
+    if not constants.hypotheses_met:
         raise HypothesesUnmetError("drift coefficient not positive; ball undefined")
     if traj.m != constants.m:
         raise ValueError("trajectory and constants disagree on the chain length m")
@@ -360,7 +360,6 @@ class OccupancyReport:
     fraction_full: float
     fraction_tail_min: float
     threshold: float
-    ball_radius: float
     hypotheses_met: bool
 
     def passes(self) -> bool:
@@ -390,7 +389,7 @@ def occupancy_report(
     martingale bounds, the threshold is only claimed for samples meeting
     their quality constraints.
     """
-    if constants.drift_coeff <= 0:
+    if not constants.hypotheses_met:
         raise HypothesesUnmetError("drift coefficient not positive; ball undefined")
     h = np.linalg.norm(traj.thetas - checks.mle.theta, axis=1)
     inside = traj.boundary_hits | (h <= constants.ball_radius)
@@ -401,7 +400,6 @@ def occupancy_report(
         fraction_full=float(prefix[-1]),
         fraction_tail_min=float(np.min(prefix[_tail_start(len(prefix)):])),
         threshold=constants.occupancy_threshold,
-        ball_radius=constants.ball_radius,
         hypotheses_met=checks.passed,
     )
 

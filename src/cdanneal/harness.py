@@ -19,7 +19,8 @@ import json
 import math
 import multiprocessing
 import platform
-from dataclasses import asdict, dataclass
+import warnings
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,6 @@ from .diagnostics import (
 from .kernel import m_step_stat_table
 from .learner import (
     RNG_STREAM_DATA,
-    Schedule,
     TailDistance,
     Trajectory,
     delta_n,
@@ -80,6 +80,8 @@ __all__ = [
     "verify_assumptions",
 ]
 
+# The per-cell checks, in the order of their diagnostics.json records.
+CHECKS = ("drift", "bias_bound", "martingale_outside_ball", "martingale_inside", "occupancy")
 RATE_SLOPE_BAND = (-0.60, -0.15)
 SLOPE_GAP_TOL = 0.15
 
@@ -121,26 +123,25 @@ def _write(path: Path, text: str) -> None:
 
 @dataclass
 class CellTask:
+    """One cell's inputs.
+
+    Run-wide settings are read from ``config``, the true parameter and the
+    data seed from ``data``.
+    """
+
+    config: RunConfig
+    master_seed: int
     fam: FiniteExpFamily
     box: ParamBox
-    schedule: Schedule
-    data: DataSample
-    data_seed: list
-    n: int
-    m: int
-    replicate: int
-    master_seed: int
-    steps: int
-    burn_in: int
-    theta_init: np.ndarray | None
-    theta_star: np.ndarray
-    tail_fraction: float
-    constants: TheoryConstants
-    checks: SampleChecks | None
-    exact_step_checks: bool
     grid: np.ndarray
     stat_table: np.ndarray
     mean_table: np.ndarray
+    n: int
+    m: int
+    replicate: int
+    data: DataSample
+    constants: TheoryConstants
+    checks: SampleChecks | None
 
     @property
     def label(self) -> str:
@@ -153,7 +154,11 @@ class CellTask:
 
 @dataclass
 class CellOutcome:
-    """What evaluating a cell's trajectory computed; the cell itself is its ``CellTask``."""
+    """What evaluating a cell's trajectory computed; the cell itself is its ``CellTask``.
+
+    ``reasons`` maps each check, in ``diagnostics.json`` order, to why it did
+    not run, or to None when it ran.
+    """
 
     trajectory: Trajectory
     delta: TailDistance
@@ -161,6 +166,7 @@ class CellOutcome:
     martingale: MartingaleReport | None
     occupancy: OccupancyReport | None
     bias: BiasGridReport | None
+    reasons: dict
 
 
 def _constants_table(config: RunConfig, fam, box, bounds) -> dict:
@@ -171,9 +177,7 @@ def _constants_table(config: RunConfig, fam, box, bounds) -> dict:
     }
 
 
-def _prepare_cells(
-    config: RunConfig, master_seed: int, exact_checks: bool
-) -> tuple[list[CellTask], dict]:
+def _prepare_cells(config: RunConfig, master_seed: int) -> tuple[list[CellTask], dict]:
     """Every cell's inputs, in run order, and the (n, m) constants table.
 
     The grid tables are shared by all cells and the data by the cells of one
@@ -183,7 +187,6 @@ def _prepare_cells(
     fam = config.build_family()
     box = config.build_box()
     theta_star = np.asarray(config.theta_star, dtype=float)
-    theta_init = None if config.theta_init is None else np.asarray(config.theta_init, dtype=float)
     grid = box.grid(config.grid_per_axis)
     bounds = compute_grid_bounds(fam, box, theta_star, config.grid_per_axis)
     mean_table = _in_blocks(fam, grid, lambda t: mean_parameter(fam, t))
@@ -193,8 +196,7 @@ def _prepare_cells(
     tasks = []
     for n in sorted(int(v) for v in config.n_values):
         for rep in sorted(int(s) for s in config.seeds):
-            data_seed = [master_seed, rep, n, RNG_STREAM_DATA]
-            data = sample_iid(fam, theta_star, n, seed=data_seed)
+            data = sample_iid(fam, theta_star, n, seed=[master_seed, rep, n, RNG_STREAM_DATA])
             for m in sorted(int(v) for v in config.m_values):
                 try:
                     checks = check_sample(
@@ -204,72 +206,84 @@ def _prepare_cells(
                     checks = None
                 tasks.append(
                     CellTask(
+                        config=config,
+                        master_seed=master_seed,
                         fam=fam,
                         box=box,
-                        schedule=config.schedule,
-                        data=data,
-                        data_seed=data_seed,
-                        n=n,
-                        m=m,
-                        replicate=rep,
-                        master_seed=master_seed,
-                        steps=int(config.iterations),
-                        burn_in=int(config.burn_in),
-                        theta_init=theta_init,
-                        theta_star=theta_star,
-                        tail_fraction=float(config.tail_fraction),
-                        constants=constants[(n, m)],
-                        checks=checks,
-                        exact_step_checks=exact_checks,
                         grid=grid,
                         stat_table=stat_tables[m],
                         mean_table=mean_table,
+                        n=n,
+                        m=m,
+                        replicate=rep,
+                        data=data,
+                        constants=constants[(n, m)],
+                        checks=checks,
                     )
                 )
     return tasks, constants
 
 
+def _skip_reasons(task: CellTask) -> dict:
+    """Why each check, in ``diagnostics.json`` order, does not run in this cell.
+
+    A check that runs maps to None; for one that does not, the first cause
+    that holds, in the order tested here, is the reason.
+    """
+    if not task.config.exact_step_checks:
+        return dict.fromkeys(CHECKS, "exact step checks off")
+    if task.checks is None:
+        return dict.fromkeys(CHECKS, "mle does not exist")
+    no_ball = None if task.constants.hypotheses_met else "drift coefficient not positive"
+    return {
+        "drift": None,
+        "bias_bound": None if task.checks.passed else "sample fails its quality constraints",
+        "martingale_outside_ball": no_ball,
+        "martingale_inside": no_ball,
+        "occupancy": no_ball,
+    }
+
+
 def evaluate_cell(task: CellTask, traj: Trajectory) -> CellOutcome:
-    """Tail error and, when the task asks for them, the exact per-step checks."""
+    """Tail error and every exact per-step check that ``_skip_reasons`` leaves to run."""
+    reasons = _skip_reasons(task)
+    fam, box, data, constants, checks = task.fam, task.box, task.data, task.constants, task.checks
     drift = mart = occ = bias = None
-    checks = task.checks
-    if task.exact_step_checks and checks is not None:
-        drift = drift_report(task.fam, task.box, traj, task.data, task.constants, checks)
-        if checks.passed:
-            bias = bias_bound_grid(
-                task.fam,
-                task.data,
-                task.constants,
-                checks,
-                task.grid,
-                stat_table=task.stat_table,
-                mean_table=task.mean_table,
-            )
-        if task.constants.drift_coeff > 0:
-            mart = martingale_report(task.fam, task.box, traj, task.data, task.constants, checks)
-            occ = occupancy_report(traj, task.constants, checks)
+    if reasons["drift"] is None:
+        drift = drift_report(fam, box, traj, data, constants, checks)
+    if reasons["bias_bound"] is None:
+        bias = bias_bound_grid(
+            fam, data, constants, checks, task.grid,
+            stat_table=task.stat_table, mean_table=task.mean_table,
+        )
+    if reasons["martingale_outside_ball"] is None:
+        mart = martingale_report(fam, box, traj, data, constants, checks)
+    if reasons["occupancy"] is None:
+        occ = occupancy_report(traj, constants, checks)
     return CellOutcome(
         trajectory=traj,
-        delta=delta_n(traj, task.theta_star, task.tail_fraction),
+        delta=delta_n(traj, data.theta_star, task.config.tail_fraction),
         drift=drift,
         martingale=mart,
         occupancy=occ,
         bias=bias,
+        reasons=reasons,
     )
 
 
 def _run_cell(task: CellTask) -> CellOutcome:
+    config = task.config
     traj = run_cd(
         task.fam,
         task.box,
-        task.schedule,
+        config.schedule,
         task.data,
         m=task.m,
-        steps=task.steps,
-        burn_in=task.burn_in,
+        steps=config.iterations,
+        burn_in=config.burn_in,
         master_seed=task.master_seed,
         replicate=task.replicate,
-        theta_init=task.theta_init,
+        theta_init=config.theta_init,
     )
     return evaluate_cell(task, traj)
 
@@ -307,25 +321,24 @@ def _trajectory_csv(traj: Trajectory, theta_star: np.ndarray, mle_theta) -> str:
     return _csv(header, columns + [dist_to_mle, dist_to_true])
 
 
-def _diagnostic_entries(task: CellTask, outcome: CellOutcome) -> list[dict]:
+def _diagnostic_entries(outcome: CellOutcome) -> list[dict]:
     """One entry per check; a check that did not run records why."""
     mart = outcome.martingale
-    no_drift = "drift coefficient not positive or skipped"
-    table = [
-        ("drift", "skipped" if task.checks is not None else "mle does not exist", outcome.drift),
-        ("bias_bound", "sample constraints unverified or skipped", outcome.bias),
-        ("martingale_outside_ball", no_drift, None if mart is None else mart.out),
-        ("martingale_inside", no_drift, None if mart is None else mart.inside),
-        ("occupancy", no_drift, outcome.occupancy),
-    ]
+    records = {
+        "drift": outcome.drift,
+        "bias_bound": outcome.bias,
+        "martingale_outside_ball": None if mart is None else mart.out,
+        "martingale_inside": None if mart is None else mart.inside,
+        "occupancy": outcome.occupancy,
+    }
     skipped = {"steps": 0, "violations": 0, "worst_slack": None, "hypotheses_met": False}
     return [
-        {"check": check, **(record.entry() if record is not None else dict(skipped, reason=reason))}
-        for check, reason, record in table
+        {"check": check, **(dict(skipped, reason=reason) if reason else records[check].entry())}
+        for check, reason in outcome.reasons.items()
     ]
 
 
-def _write_cell_diagnostics(cell_dir: Path, task: CellTask, outcome: CellOutcome) -> list[dict]:
+def _write_cell_diagnostics(cell_dir: Path, outcome: CellOutcome) -> list[dict]:
     """Write a cell's diagnostics.json and the per-step CSV of every check that ran."""
     drift, mart = outcome.drift, outcome.martingale
     if drift is not None:
@@ -346,28 +359,28 @@ def _write_cell_diagnostics(cell_dir: Path, task: CellTask, outcome: CellOutcome
                  mart.out.lhs, mart.inside.lhs],
             ),
         )
-    entries = _diagnostic_entries(task, outcome)
+    entries = _diagnostic_entries(outcome)
     _write(cell_dir / "diagnostics.json", _json_text(_scrub(entries)))
     return entries
 
 
-def _meta_dict(config: RunConfig, master_seed: int, task: CellTask, outcome: CellOutcome) -> dict:
-    checks = task.checks
+def _meta_dict(task: CellTask, outcome: CellOutcome) -> dict:
+    config, checks = task.config, task.checks
     meta = {
         "n": task.n,
         "m": task.m,
         "replicate": task.replicate,
-        "master_seed": master_seed,
-        "data_seed": list(task.data_seed),
+        "master_seed": task.master_seed,
+        "data_seed": list(task.data.seed),
         "data_id": task.data_id,
-        "iterations": task.steps,
-        "burn_in": task.burn_in,
+        "iterations": config.iterations,
+        "burn_in": config.burn_in,
         "gamma": config.gamma,
         "tail_fraction": config.tail_fraction,
         "half_width": config.half_width,
-        "theta_star": [float(v) for v in task.theta_star],
+        "theta_star": task.data.theta_star,
         "model": config.model,
-        "schedule": asdict(task.schedule),
+        "schedule": asdict(config.schedule),
         "delta_tail_max": outcome.delta.tail_max,
         "delta_final": outcome.delta.final,
         "boundary_hit_count": int(np.sum(outcome.trajectory.boundary_hits)),
@@ -385,18 +398,10 @@ def _meta_dict(config: RunConfig, master_seed: int, task: CellTask, outcome: Cel
             "clipped": checks.mle.clipped,
         }
         meta["sample_checks"] = {
-            key: {
-                "passed": check.passed,
-                "statistic": check.statistic,
-                "bound": check.bound,
-                "margin": check.margin,
-            }
-            for key, check in (
-                ("mle_constraint", checks.mle_check),
-                ("empirical_constraint", checks.empirical_check),
-            )
+            "mle_constraint": asdict(checks.mle_check),
+            "empirical_constraint": asdict(checks.empirical_check),
+            "passed": checks.passed,
         }
-        meta["sample_checks"]["passed"] = checks.passed
     return meta
 
 
@@ -495,16 +500,16 @@ def run_experiment(
     doc = {"config": config.to_dict(), "master_seed": master_seed, "versions": versions}
     _write(out / "config.json", _json_text(doc))
 
-    tasks, constants = _prepare_cells(config, master_seed, config.exact_step_checks)
+    tasks, constants = _prepare_cells(config, master_seed)
     outcomes = _map_tasks(tasks, workers)
-    theta_star = tasks[0].theta_star
+    theta_star = tasks[0].data.theta_star
 
     for task, outcome in zip(tasks, outcomes):
         cell_dir = out / "cells" / task.label
         mle_theta = task.checks.mle.theta if task.checks is not None else None
         _write(cell_dir / "trajectory.csv", _trajectory_csv(outcome.trajectory, theta_star, mle_theta))
-        _write(cell_dir / "meta.json", _json_text(_scrub(_meta_dict(config, master_seed, task, outcome))))
-        _write_cell_diagnostics(cell_dir, task, outcome)
+        _write(cell_dir / "meta.json", _json_text(_scrub(_meta_dict(task, outcome))))
+        _write_cell_diagnostics(cell_dir, outcome)
 
     groups: dict = {}  # (n, m) -> its (task, outcome) pairs in replicate order
     for task, outcome in sorted(zip(tasks, outcomes), key=lambda pair: pair[0].replicate):
@@ -579,6 +584,8 @@ def verify_assumptions(config: RunConfig, out_dir=None) -> dict:
     annealing_ok, reason = config.schedule.annealing_verdict()
     constants = _constants_table(config, fam, box, bounds)
     any_constants = next(iter(constants.values()))
+    grid_bounds = asdict(bounds)
+    grid_bounds["per_axis"] = grid_bounds.pop("grid_per_axis")
     report = {
         "stat_bound": fam.stat_bound,
         "dim": fam.dim,
@@ -588,14 +595,7 @@ def verify_assumptions(config: RunConfig, out_dir=None) -> dict:
             "ok": ident.ok,
             "probes": IDENTIFIABILITY_PROBES,
         },
-        "grid_bounds": {
-            "min_fisher_eig": bounds.min_fisher_eig,
-            "divergence_lipschitz": bounds.divergence_lipschitz,
-            "mixing_bound": bounds.mixing_bound,
-            "kernel_lipschitz": bounds.kernel_lipschitz,
-            "per_axis": bounds.grid_per_axis,
-            "half_width": bounds.half_width,
-        },
+        "grid_bounds": grid_bounds,
         "schedule": {**asdict(config.schedule), "annealing_ok": annealing_ok, "reason": reason},
         "smallest_admissible_m": any_constants.smallest_admissible_m,
         "constants": [constants[key].to_dict() for key in sorted(constants)],
@@ -718,8 +718,8 @@ def _read_cell(cell_dir: Path, task: CellTask) -> Trajectory:
         "n": task.n,
         "m": task.m,
         "replicate": task.replicate,
-        "data_seed": list(task.data_seed),
-        "burn_in": task.burn_in,
+        "data_seed": list(task.data.seed),
+        "burn_in": task.config.burn_in,
     }
     meta_path, traj_path = cell_dir / "meta.json", cell_dir / "trajectory.csv"
     try:
@@ -733,23 +733,25 @@ def _read_cell(cell_dir: Path, task: CellTask) -> Trajectory:
     try:
         with open(traj_path, "r", encoding="utf-8") as fh:
             idx = {name: i for i, name in enumerate(fh.readline().strip().split(","))}
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        theta_cols = [idx[f"theta_{j + 1}"] for j in range(task.fam.dim)]
-        thetas = np.array([[float(r[i]) for i in theta_cols] for r in rows])
-        etas = np.array([float(r[idx["eta_t"]]) for r in rows])
-        hits = np.array([bool(int(r[idx["boundary_hit"]])) for r in rows])
-    except (OSError, ValueError, KeyError, IndexError) as exc:
+        theta_columns = [idx[f"theta_{j + 1}"] for j in range(task.fam.dim)]
+        columns = [idx["eta_t"], idx["boundary_hit"], *theta_columns]
+        with warnings.catch_warnings():  # a file without rows is refused by the row count below
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(traj_path, delimiter=",", skiprows=1, ndmin=2, usecols=columns)
+    except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot read {traj_path}: {exc}") from exc
-    if len(rows) != task.steps + 1:
+    steps, burn_in = task.config.iterations, task.config.burn_in
+    if len(table) != steps + 1:
         raise ConfigError(
-            f"{traj_path} has {len(rows)} rows, expected iterations + 1 = {task.steps + 1}"
+            f"{traj_path} has {len(table)} rows, expected iterations + 1 = {steps + 1}"
         )
+    thetas, etas = table[:, 2:], table[:, 0]
     return Trajectory(
         thetas=thetas,
         etas=etas,
-        boundary_hits=hits,
-        weighted_avgs=weighted_average_series(thetas, etas, task.burn_in),
-        burn_in=task.burn_in,
+        boundary_hits=table[:, 1].astype(bool),
+        weighted_avgs=weighted_average_series(thetas, etas, burn_in),
+        burn_in=burn_in,
         m=task.m,
     )
 
@@ -767,7 +769,7 @@ def diagnose_run(out_dir) -> DiagnoseResult:
     """
     out = Path(out_dir)
     config, master_seed = _read_stored_config(out)
-    tasks, _ = _prepare_cells(config, master_seed, True)
+    tasks, _ = _prepare_cells(replace(config, exact_step_checks=True), master_seed)
     tasks.sort(key=lambda task: task.label)
 
     cells_dir = out / "cells"
@@ -782,7 +784,7 @@ def diagnose_run(out_dir) -> DiagnoseResult:
 
     cells = []
     for task, traj in zip(tasks, trajectories):
-        entries = _write_cell_diagnostics(cells_dir / task.label, task, evaluate_cell(task, traj))
+        entries = _write_cell_diagnostics(cells_dir / task.label, evaluate_cell(task, traj))
         violations = sum(e["violations"] for e in entries)
         cells.append({"cell": task.label, "violations": violations, "ok": violations == 0})
     all_ok = all(cell["ok"] for cell in cells)

@@ -188,7 +188,6 @@ class ConstraintCheck:
     statistic: float
     bound: float
     margin: float
-    worst_theta: np.ndarray | None = None
 
 
 def check_constraint_mle(
@@ -239,16 +238,10 @@ def check_constraint_empirical_process(
     target_probs = state_probs(fam, theta_star)
     # (G, d) gaps between the empirical and population row averages.
     gaps = np.einsum("s,gsd->gd", weights - target_probs, stat_table)
-    values = math.sqrt(n) * np.linalg.norm(gaps, axis=1)
-    worst = int(np.argmax(values))
-    statistic = float(values[worst])
+    statistic = math.sqrt(n) * float(np.max(np.linalg.norm(gaps, axis=1)))
     bound = float(n) ** gamma
     return ConstraintCheck(
-        passed=statistic < bound,
-        statistic=statistic,
-        bound=bound,
-        margin=bound - statistic,
-        worst_theta=theta_grid[worst],
+        passed=statistic < bound, statistic=statistic, bound=bound, margin=bound - statistic
     )
 
 
@@ -259,7 +252,6 @@ class SampleChecks:
     mle: MleResult
     mle_check: ConstraintCheck
     empirical_check: ConstraintCheck
-    gamma: float
     m: int
 
     @property
@@ -284,7 +276,6 @@ def check_sample(
         empirical_check=check_constraint_empirical_process(
             fam, data, theta_star, m, gamma, theta_grid, stat_table=stat_table
         ),
-        gamma=gamma,
         m=int(m),
     )
 
@@ -341,6 +332,18 @@ def _scrub(value):
 
 
 @dataclass(frozen=True)
+class GridBounds:
+    """Grid approximations of the extremal quantities over the box."""
+
+    min_fisher_eig: float
+    divergence_lipschitz: float
+    mixing_bound: float
+    kernel_lipschitz: float
+    grid_per_axis: int
+    half_width: float
+
+
+@dataclass(frozen=True)
 class TheoryConstants:
     """Everything the drift, ball and rate bounds need, with grid provenance.
 
@@ -350,14 +353,13 @@ class TheoryConstants:
     fluctuation_scale / drift_coeff.  When drift_coeff <= 0 the requested m
     mixes too slowly for the guarantees and dependent quantities are
     infinite; ``smallest_admissible_m`` records the first m that works.
+    ``bounds`` holds the grid sweep the constants derive from; ``to_dict``
+    writes its values beside the others and its grid under ``grid``.
     """
 
     stat_bound: float
     dim: int
-    min_fisher_eig: float
-    divergence_lipschitz: float
-    mixing_bound: float
-    kernel_lipschitz: float
+    bounds: GridBounds
     gamma: float
     m: int
     n: int
@@ -368,8 +370,6 @@ class TheoryConstants:
     ball_radius: float
     rate_coeff: float
     smallest_admissible_m: int | None
-    grid_per_axis: int
-    half_width: float
 
     @property
     def hypotheses_met(self) -> bool:
@@ -385,25 +385,14 @@ class TheoryConstants:
 
     def to_dict(self) -> dict:
         doc = asdict(self)
-        grid = {"per_axis": doc.pop("grid_per_axis"), "half_width": doc.pop("half_width")}
-        return _scrub({**doc, "hypotheses_met": self.hypotheses_met, "grid": grid})
+        bounds = doc.pop("bounds")
+        grid = {"per_axis": bounds.pop("grid_per_axis"), "half_width": bounds.pop("half_width")}
+        return _scrub({**doc, **bounds, "hypotheses_met": self.hypotheses_met, "grid": grid})
 
 
 def _validate_gamma(gamma: float) -> None:
     if not 0.0 < gamma < 0.5:
         raise ValueError("gamma must lie strictly between 0 and 1/2")
-
-
-@dataclass(frozen=True)
-class GridBounds:
-    """Grid approximations of the extremal quantities over the box."""
-
-    min_fisher_eig: float
-    divergence_lipschitz: float
-    mixing_bound: float
-    kernel_lipschitz: float
-    grid_per_axis: int
-    half_width: float
 
 
 def compute_grid_bounds(
@@ -459,10 +448,7 @@ def assemble_constants(
     return TheoryConstants(
         stat_bound=fam.stat_bound,
         dim=fam.dim,
-        min_fisher_eig=bounds.min_fisher_eig,
-        divergence_lipschitz=bounds.divergence_lipschitz,
-        mixing_bound=bounds.mixing_bound,
-        kernel_lipschitz=bounds.kernel_lipschitz,
+        bounds=bounds,
         gamma=gamma,
         m=int(m),
         n=int(n),
@@ -479,6 +465,4 @@ def assemble_constants(
             fam.stat_bound,
             fam.dim,
         ),
-        grid_per_axis=bounds.grid_per_axis,
-        half_width=bounds.half_width,
     )

@@ -237,6 +237,9 @@ class TestRunExperiment:
         for entry in entries:
             extra = {"check"} if entry["check"] in ran else {"check", "reason"}
             assert set(entry) == RECORD_KEYS | extra
+        reasons = {e["check"]: e.get("reason") for e in entries}
+        for check in ("martingale_outside_ball", "martingale_inside", "occupancy"):
+            assert reasons[check] == "drift coefficient not positive"
 
     def test_plot_data_written(self, run_dir):
         out, _ = run_dir
@@ -382,6 +385,10 @@ class TestRateSweep:
         fit_doc = json.loads((tmp_path / "rate" / "rate" / "rate_fit.json").read_text())
         assert "verdict" in fit_doc and "1" in fit_doc
         assert "slope" in fit_doc["1"]
+        # exact_step_checks is off, so no check ran in any cell
+        cell = tmp_path / "rate" / "cells" / "n90_m1_s3"
+        entries = json.loads((cell / "diagnostics.json").read_text())
+        assert [e["reason"] for e in entries] == ["exact step checks off"] * 5
 
 
 class TestDiagnose:
@@ -453,7 +460,24 @@ class TestDiagnose:
         for check in ("drift", "martingale_outside_ball", "martingale_inside"):
             assert set(entries[check]) == {"check"} | RECORD_KEYS
             assert entries[check]["hypotheses_met"] is False
+        assert entries["bias_bound"]["reason"] == "sample fails its quality constraints"
         assert diagnose_run(out).cells == [{"cell": "n100_m16_s1", "violations": 0, "ok": True}]
+
+    def test_sample_without_mle_skips_every_check_for_that_reason(self, tmp_path):
+        # four draws cannot pin three parameters: the sample's statistic mean
+        # has no interior preimage, though the drift coefficient is positive
+        config = small_config(
+            n_values=[4], m_values=[16], seeds=[0], iterations=40, burn_in=5, half_width=1.25
+        )
+        out = tmp_path / "run"
+        result = run_experiment(config, out, master_seed=0)
+        assert result.constants[(4, 16)].drift_coeff > 0
+        cell = out / "cells" / "n4_m16_s0"
+        assert json.loads((cell / "meta.json").read_text())["mle"] is None
+        entries = json.loads((cell / "diagnostics.json").read_text())
+        assert [e["reason"] for e in entries] == ["mle does not exist"] * 5
+        assert diagnose_run(out).ok
+        assert json.loads((cell / "diagnostics.json").read_text()) == entries
 
 
 def file_digests(root: Path) -> dict:
@@ -475,9 +499,16 @@ def _replace_with_directory(path: Path) -> None:
     path.mkdir()
 
 
-def _drop_last_row(path: Path) -> None:
+def _keep_lines(path: Path, stop: int) -> None:
     lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:-1]))
+    path.write_text("".join(lines[:stop]))
+
+
+def _edit_csv(path: Path, row: int, column: int, value: str) -> None:
+    """Replace one field of a CSV file; row 0 is the header."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    rows[row][column] = value
+    path.write_text("".join(",".join(fields) + "\n" for fields in rows))
 
 
 CELL = Path("cells") / "n60_m1_s1"
@@ -495,10 +526,14 @@ MALFORMED_RUNS = {
     "meta_replicate": lambda out: _edit_json(out / CELL / "meta.json", replicate=0),
     "meta_data_seed": lambda out: _edit_json(out / CELL / "meta.json", data_seed=[5, 1, 60, 3]),
     "meta_burn_in": lambda out: _edit_json(out / CELL / "meta.json", burn_in=4),
-    "trajectory_row_count": lambda out: _drop_last_row(out / CELL / "trajectory.csv"),
+    "trajectory_row_count": lambda out: _keep_lines(out / CELL / "trajectory.csv", -1),
+    "trajectory_header_only": lambda out: _keep_lines(out / CELL / "trajectory.csv", 1),
+    "trajectory_not_numeric": lambda out: _edit_csv(out / CELL / "trajectory.csv", 7, 2, "abc"),
+    "trajectory_column_missing": lambda out: _edit_csv(out / CELL / "trajectory.csv", 0, 1, "eta"),
 }
 
 
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr ahead of the error
 @pytest.mark.parametrize("mutate", list(MALFORMED_RUNS.values()), ids=list(MALFORMED_RUNS))
 def test_diagnose_refuses_malformed_run(run_dir, tmp_path, capsys, mutate):
     out = tmp_path / "stored"

@@ -232,7 +232,6 @@ class TestEmpiricalProcessConstraint:
         grid = box3.grid(5)
         check = check_constraint_empirical_process(fvbm2, data, theta_star, 2, gamma, grid)
         assert check.bound == pytest.approx(10_000**gamma)
-        assert check.worst_theta is not None
 
     def test_empty_grid_rejected(self, fvbm2, theta_star):
         with pytest.raises(ValueError):
