@@ -13,7 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FiniteExpFamily, _check_theta, _in_blocks, _per_point, _scores, state_probs
+from .model import (
+    FiniteExpFamily,
+    _blocks,
+    _check_theta,
+    _in_blocks,
+    _max_difference_quotient,
+    _per_point,
+    _scores,
+    state_probs,
+)
 
 __all__ = [
     "KernelMatrix",
@@ -43,16 +52,18 @@ class _GibbsTables:
     """Index tables of the single-site moves on {0,1}^p, built once per family.
 
     ``up[s, j]``/``down[s, j]`` are the states s with coordinate j set to
-    1/0.  The flat arrays list the 2p moves out of every state in (s, j,
-    up/down) order: ``target`` is where the move lands, ``other`` the state
-    that differs from it in coordinate j only, and ``scatter`` the flat
-    position s * n_states + target of the move in the transition matrix.
+    1/0, and ``flip[s, j]`` the one of the two that is not s.  The flat
+    arrays list the 2p moves out of every state in (s, j, up/down) order:
+    ``target`` is where the move lands, ``other`` the state that differs
+    from it in coordinate j only, and ``scatter`` the flat position
+    s * n_states + target of the move in the transition matrix.
     """
 
     def __init__(self, up: np.ndarray, down: np.ndarray):
         n = up.shape[0]
         self.up = up
         self.down = down
+        self.flip = np.where(up == np.arange(n)[:, None], down, up)
         self.target = np.stack([up, down], axis=2).reshape(-1)
         self.other = np.stack([down, up], axis=2).reshape(-1)
         self.scatter = np.repeat(np.arange(n) * n, 2 * up.shape[1]) + self.target
@@ -111,6 +122,11 @@ def build_gibbs_random_scan(fam: FiniteExpFamily, theta) -> KernelMatrix:
     return KernelMatrix(theta=theta, probs=_gibbs_probs(fam, _gibbs_tables(fam), theta))
 
 
+def _move_probs(fam: FiniteExpFamily, gap: np.ndarray) -> np.ndarray:
+    """sigmoid(gap) / p, the probability of a single-site move with score gap ``gap``."""
+    return np.exp(np.minimum(gap, 0.0)) / (1.0 + np.exp(-np.abs(gap))) / fam.n_coords
+
+
 def _gibbs_probs(fam: FiniteExpFamily, tables: _GibbsTables, theta: np.ndarray) -> np.ndarray:
     """Transition matrix of :func:`build_gibbs_random_scan` at an already checked theta.
 
@@ -120,12 +136,38 @@ def _gibbs_probs(fam: FiniteExpFamily, tables: _GibbsTables, theta: np.ndarray) 
     n = fam.n_states
     scores = _scores(fam, theta)
     gap = scores.take(tables.target, axis=-1) - scores.take(tables.other, axis=-1)
-    moves = np.exp(np.minimum(gap, 0.0)) / (1.0 + np.exp(-np.abs(gap))) / fam.n_coords
+    moves = _move_probs(fam, gap)
     scatter = tables.scatter
     if theta.ndim == 2:  # matrix g fills the flat positions from g * n * n on
         scatter = (np.arange(len(theta))[:, None] * (n * n) + scatter).reshape(-1)
     probs = np.bincount(scatter, weights=moves.ravel(), minlength=theta.size // fam.dim * n * n)
     return probs.reshape(theta.shape[:-1] + (n, n))
+
+
+def _flip_probs(fam: FiniteExpFamily, tables: _GibbsTables, theta: np.ndarray) -> np.ndarray:
+    """K[s, flip[s, j]] of the kernel at a checked theta, shape (S, p) or (G, S, p).
+
+    These are every off-diagonal entry of the kernel, bit for bit: each is
+    one move, evaluated by the same expression as in :func:`_gibbs_probs`.
+    """
+    scores = _scores(fam, theta)
+    return _move_probs(fam, scores.take(tables.flip, axis=-1) - scores[..., None])
+
+
+def _row_distances(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """Row-wise L1 norms of K1 - K2 from the flip probabilities (..., S, p) of two kernels.
+
+    Row s of K1 - K2 holds dq[s, j] at the p flips of s and -sum_j dq[s, j]
+    on the diagonal, since both rows sum to 1.  Their max is
+    :func:`kernel_distance`.  The sums over j run as p adds of (..., S)
+    slices, much faster than numpy's reduction over a short last axis.
+    """
+    dq = q1 - q2
+    moved, stay = np.abs(dq[..., 0]), dq[..., 0].copy()
+    for j in range(1, dq.shape[-1]):
+        moved += np.abs(dq[..., j])
+        stay += dq[..., j]
+    return moved + np.abs(stay)
 
 
 def _check_chain_length(m) -> None:
@@ -147,8 +189,11 @@ def stationarity_violation(fam: FiniteExpFamily, kernel: KernelMatrix) -> float:
 
 
 def reversibility_violation(fam: FiniteExpFamily, kernel: KernelMatrix) -> float:
-    pi = state_probs(fam, kernel.theta)
-    flow = pi[..., :, None] * kernel.probs
+    return _reversibility_violation(state_probs(fam, kernel.theta), kernel.probs)
+
+
+def _reversibility_violation(pi: np.ndarray, probs: np.ndarray) -> float:
+    flow = pi[..., :, None] * probs
     return float(np.max(np.abs(flow - np.swapaxes(flow, -1, -2))))
 
 
@@ -163,9 +208,10 @@ def spectral_gap(fam: FiniteExpFamily, kernel: KernelMatrix):
     kernels, so detailed balance is verified first (to ``REVERSIBILITY_TOL``).
     A float for one kernel, an array of shape (G,) for a stack.
     """
-    if reversibility_violation(fam, kernel) > REVERSIBILITY_TOL:
+    pi = state_probs(fam, kernel.theta)
+    if _reversibility_violation(pi, kernel.probs) > REVERSIBILITY_TOL:
         raise ValueError("kernel is not reversible; symmetric eigensolve is invalid")
-    root = np.sqrt(state_probs(fam, kernel.theta))
+    root = np.sqrt(pi)
     sym = (root[..., :, None] / root[..., None, :]) * kernel.probs
     sym = 0.5 * (sym + np.swapaxes(sym, -1, -2))
     mags = np.sort(np.abs(np.linalg.eigvalsh(sym)), axis=-1)
@@ -198,26 +244,28 @@ def estimate_zeta(fam: FiniteExpFamily, thetas, pairs=None) -> ZetaEstimate:
     ``thetas`` is an array of parameter points; ``pairs`` an optional index
     array of point pairs (consecutive points when omitted).  Coincident
     pairs are skipped.  The estimate is a lower bound that stabilizes under
-    grid refinement.  Pairs are evaluated in blocks of stacked kernels.
+    grid refinement.  No kernel is built: the S * p flip probabilities of
+    each point (its kernel's off-diagonal entries) are evaluated once, in
+    blocks of at most 2^14 entries, and kept for the whole sweep; each
+    pair's distance is read from them, pairs again in blocks.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    if thetas.shape[0] < 2:
+    thetas = _check_theta(fam, np.atleast_2d(np.asarray(thetas, dtype=float)))
+    if len(thetas) < 2:
         raise ValueError("need at least two parameter points")
     if pairs is None:
         pairs = np.stack([np.arange(len(thetas) - 1), np.arange(1, len(thetas))], axis=1)
     pairs = np.asarray(pairs, dtype=np.int64)
-
-    def separation_and_distance(block):
-        a, b = thetas[block[:, 0]], thetas[block[:, 1]]
-        dist = kernel_distance(build_gibbs_random_scan(fam, a), build_gibbs_random_scan(fam, b))
-        return np.stack([np.linalg.norm(a - b, axis=1), dist], axis=1)
-
-    seps, dists = _in_blocks(fam, pairs, separation_and_distance).T
-    used = seps >= 1e-12
-    if not np.any(used):
+    tables = _gibbs_tables(fam)
+    width = fam.n_states * fam.n_coords
+    flips = np.empty((len(thetas), fam.n_states, fam.n_coords))
+    for block in _blocks(len(thetas), width):
+        flips[block] = _flip_probs(fam, tables, thetas[block])
+    zeta, n_pairs = _max_difference_quotient(
+        thetas, pairs, lambda a, b: _row_distances(flips[a], flips[b]), width
+    )
+    if n_pairs == 0:
         raise ValueError("all parameter pairs coincide")
-    seps, dists = seps[used], dists[used]
-    return ZetaEstimate(float(np.max(dists / seps)), len(seps))
+    return ZetaEstimate(zeta, n_pairs)
 
 
 def m_step_stat_rows(fam: FiniteExpFamily, theta, m: int) -> np.ndarray:

@@ -167,15 +167,47 @@ def _per_point(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-# Grid sweeps evaluate at most this many kernel entries (points * S**2) at
-# once: the stacked intermediates stay a few hundred kB whatever the grid.
+# Grid sweeps evaluate at most this many entries (points * S**2 for kernels)
+# at once: the stacked intermediates stay a few hundred kB whatever the grid.
 _BLOCK_ENTRIES = 2**14
+
+
+def _blocks(n_items: int, entries_per_item: int):
+    """Slices of range(n_items), in order, each of at most _BLOCK_ENTRIES entries (or one item)."""
+    step = max(1, _BLOCK_ENTRIES // entries_per_item)
+    return (slice(i, i + step) for i in range(0, n_items, step))
 
 
 def _in_blocks(fam: FiniteExpFamily, items: np.ndarray, fn) -> np.ndarray:
     """``fn`` over consecutive blocks of ``items`` (rows), results joined along axis 0."""
-    step = max(1, _BLOCK_ENTRIES // fam.n_states**2)
-    return np.concatenate([fn(items[i : i + step]) for i in range(0, len(items), step)])
+    return np.concatenate([fn(items[b]) for b in _blocks(len(items), fam.n_states**2)])
+
+
+# Parameter pairs closer than this coincide; difference quotients skip them.
+_COINCIDENT = 1e-12
+
+
+def _max_difference_quotient(points: np.ndarray, pairs: np.ndarray, distance, width: int):
+    """(max of distance(a, b) / |points[a] - points[b]| over pairs, number of pairs used).
+
+    ``distance`` maps the two index arrays of a block of pairs to one row
+    per pair (a value, or values whose max is the pair's distance),
+    gathering ``width`` entries per pair.  Rounding keeps the order of x / sep
+    in x, so dividing before the max gives the bits of dividing after it.
+    Coincident pairs are skipped, and with none left the maximum is -inf.
+    Pairs go in blocks, so nothing of size (pairs, d) is ever held.
+    """
+    best, n_used = -math.inf, 0
+    for block in _blocks(len(pairs), width):
+        a, b = pairs[block, 0], pairs[block, 1]
+        seps = np.linalg.norm(points[a] - points[b], axis=1)
+        used = seps >= _COINCIDENT
+        if np.any(used):
+            dists = distance(a[used], b[used])
+            seps = seps[used].reshape((-1,) + (1,) * (dists.ndim - 1))
+            best = max(best, float(np.max(dists / seps)))
+            n_used += int(np.count_nonzero(used))
+    return best, n_used
 
 
 def _scores(fam: FiniteExpFamily, theta: np.ndarray) -> np.ndarray:

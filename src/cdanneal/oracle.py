@@ -24,6 +24,7 @@ from .model import (
     _data_counts,
     _in_blocks,
     _index_array,
+    _max_difference_quotient,
     _per_point,
     fisher_info,
     lattice_neighbor_pairs,
@@ -412,8 +413,9 @@ def compute_grid_bounds(
     pairs = lattice_neighbor_pairs(grid_per_axis, box.dim)
     eigs = _in_blocks(fam, grid, lambda t: fisher_info(fam, t)[1])
     fvals = _in_blocks(fam, grid, lambda t: root_chi_square_divergence(fam, theta_star, t))
-    seps = np.linalg.norm(grid[pairs[:, 0]] - grid[pairs[:, 1]], axis=1)
-    lipschitz = float(np.max(np.abs(fvals[pairs[:, 0]] - fvals[pairs[:, 1]]) / seps))
+    lipschitz, _ = _max_difference_quotient(
+        grid, pairs, lambda a, b: np.abs(fvals[a] - fvals[b]), box.dim
+    )
     gaps = _in_blocks(fam, grid, lambda t: spectral_gap(fam, build_gibbs_random_scan(fam, t)))
     zeta = estimate_zeta(fam, grid, pairs).zeta
     return GridBounds(

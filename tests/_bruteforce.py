@@ -116,6 +116,24 @@ def grid_bounds_per_point(fam, box, theta_star, per_axis):
     }
 
 
+def zeta_per_pair(fam, thetas, pairs):
+    """``estimate_zeta(fam, thetas, pairs)`` from one ``kernel_distance`` per pair.
+
+    Each point's kernel is built alone by ``build_gibbs_random_scan``;
+    pairs less than 1e-12 apart are skipped.  Returns (zeta, pairs used).
+    """
+    from cdanneal.kernel import build_gibbs_random_scan, kernel_distance
+
+    kernels = [build_gibbs_random_scan(fam, theta) for theta in thetas]
+    zeta, used = 0.0, 0
+    for a, b in pairs:
+        sep = math.sqrt(sum((x - y) ** 2 for x, y in zip(thetas[a], thetas[b])))
+        if sep >= 1e-12:
+            zeta = max(zeta, kernel_distance(kernels[a], kernels[b]) / sep)
+            used += 1
+    return zeta, used
+
+
 def cd_endpoints(fam, theta, start, m, rng):
     """Endpoint counts of m-step chains, ``start[s]`` of them started at state s.
 

@@ -6,8 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from _bruteforce import zeta_per_pair
+from cdanneal import kernel
 from cdanneal.kernel import (
     KernelMatrix,
+    _flip_probs,
+    _gibbs_tables,
+    _row_distances,
     build_gibbs_random_scan,
     estimate_zeta,
     flip_tables,
@@ -121,6 +126,66 @@ class TestGibbsConstruction:
             build_gibbs_random_scan(fam, [0.0])
 
 
+def _carrier_family():
+    """{0,1}^3 listed out of order, random statistics (d = 4) and a nonzero log carrier."""
+    rng = np.random.default_rng(11)
+    states = np.array(list(itertools.product((0, 1), repeat=3)))[[5, 0, 7, 2, 4, 1, 6, 3]]
+    return family_from_json(
+        {
+            "states": states.tolist(),
+            "phi": rng.normal(size=(8, 4)).tolist(),
+            "log_carrier": rng.normal(size=8).tolist(),
+        }
+    )
+
+
+FLIP_FAMILIES = {f"fvbm{p}": build_fvbm(p) for p in (1, 2, 3, 5)} | {"carrier": _carrier_family()}
+
+
+def _flip_case(name, seed):
+    """A family of FLIP_FAMILIES, its flip table and points with |theta| up to 30."""
+    fam = FLIP_FAMILIES[name]
+    up, down = flip_tables(fam)
+    flip = np.where(up == np.arange(fam.n_states)[:, None], down, up)
+    rng = np.random.default_rng(seed)
+    thetas = np.concatenate(
+        [
+            rng.uniform(-3, 3, size=(6, fam.dim)),
+            rng.choice([-30.0, 30.0], size=(4, fam.dim)),
+            [np.full(fam.dim, 30.0), np.full(fam.dim, -30.0)],
+        ]
+    )
+    return fam, flip, thetas
+
+
+class TestFlipProbabilities:
+    @pytest.mark.parametrize("name", FLIP_FAMILIES)
+    def test_equal_the_kernel_off_diagonal(self, name):
+        fam, flip, thetas = _flip_case(name, 300)
+        rows = np.arange(fam.n_states)[:, None]
+        stack = _flip_probs(fam, _gibbs_tables(fam), thetas)
+        assert stack.shape == (len(thetas), fam.n_states, fam.n_coords)
+        for theta, flips in zip(thetas, stack):
+            probs = build_gibbs_random_scan(fam, theta).probs
+            np.testing.assert_array_equal(flips, probs[rows, flip])
+            np.testing.assert_array_equal(flips, _flip_probs(fam, _gibbs_tables(fam), theta))
+            # no other off-diagonal entry: each row is its flips and the diagonal
+            probs[rows, flip] = 0.0
+            np.fill_diagonal(probs, 0.0)
+            assert not probs.any()
+
+    @pytest.mark.parametrize("name", FLIP_FAMILIES)
+    def test_row_distances_give_kernel_distance(self, name):
+        fam, _, thetas = _flip_case(name, 400)
+        rng = np.random.default_rng(500)
+        a = np.concatenate([rng.uniform(-3, 3, size=(30, fam.dim)), thetas])
+        b = np.concatenate([rng.uniform(-3, 3, size=(30, fam.dim)), thetas[::-1]])
+        tables = _gibbs_tables(fam)
+        got = _row_distances(_flip_probs(fam, tables, a), _flip_probs(fam, tables, b)).max(axis=-1)
+        want = kernel_distance(build_gibbs_random_scan(fam, a), build_gibbs_random_scan(fam, b))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
 class TestKernelPower:
     def test_power_one_is_identity(self, fvbm2):
         kernel = build_gibbs_random_scan(fvbm2, [0.3, -0.2, 0.5])
@@ -188,6 +253,20 @@ class TestSpectralGap:
         fake = KernelMatrix(theta=np.zeros(3), probs=cycle)
         with pytest.raises(ValueError):
             spectral_gap(fvbm2, fake)
+
+    def test_stationary_law_computed_once(self, fvbm2, monkeypatch):
+        thetas = RNG.uniform(-3, 3, size=(6, 3))
+        kernels = build_gibbs_random_scan(fvbm2, thetas)
+        want = [spectral_gap(fvbm2, build_gibbs_random_scan(fvbm2, t)) for t in thetas]
+        calls = []
+
+        def counted(fam, theta):
+            calls.append(1)
+            return state_probs(fam, theta)
+
+        monkeypatch.setattr(kernel, "state_probs", counted)
+        np.testing.assert_array_equal(spectral_gap(fvbm2, kernels), want)
+        assert len(calls) == 1
 
     def test_grid_supremum_monotone_in_half_width(self, fvbm2):
         sups = []
@@ -261,6 +340,24 @@ class TestZetaEstimate:
         assert est.n_pairs == 1
         with pytest.raises(ValueError):
             estimate_zeta(fvbm2, np.zeros((3, 3)))
+
+
+    def test_fvbm4_grid_matches_per_pair_kernels(self):
+        # 2**10 = 1024 points of 16 states, 5120 lattice edges
+        fam = build_fvbm(4)
+        grid = ParamBox(1.25, fam.dim).grid(2)
+        pairs = lattice_neighbor_pairs(2, fam.dim)
+        est = estimate_zeta(fam, grid, pairs)
+        zeta, used = zeta_per_pair(fam, grid, pairs)
+        assert est.n_pairs == used == len(pairs)
+        assert est.zeta == pytest.approx(zeta, rel=1e-13, abs=0.0)
+
+    def test_builds_no_kernel(self, fvbm2, box3, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("estimate_zeta built a kernel")
+
+        monkeypatch.setattr(kernel, "_gibbs_probs", refuse)
+        assert estimate_zeta(fvbm2, box3.grid(5), lattice_neighbor_pairs(5, 3)).zeta > 0
 
 
 class TestStatRows:
