@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import flip_tables
-from .learner import Schedule
+from .learner import Schedule, _is_key_word
 from .model import FiniteExpFamily, ParamBox, _in_blocks, family_from_json, state_log_probs
 
 __all__ = ["MAX_GRID_POINTS", "ConfigError", "RunConfig", "default_config"]
@@ -126,8 +126,8 @@ class RunConfig:
             raise ConfigError("need integers iterations > burn_in >= 0")
         if not (_is_real(self.gamma) and 0.0 < self.gamma < 0.5):
             raise ConfigError("gamma must lie strictly between 0 and 1/2")
-        if not _is_int_list(self.seeds, 0):
-            raise ConfigError("seeds must be a non-empty list of nonnegative integers")
+        if not (_is_int_list(self.seeds, 0) and all(map(_is_key_word, self.seeds))):
+            raise ConfigError("seeds must be a non-empty list of nonnegative integers below 2**64")
         for name in ("n_values", "m_values", "seeds"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -139,6 +139,10 @@ class RunConfig:
                 f"grid_per_axis ** dim = {self.grid_per_axis} ** {fam.dim} exceeds "
                 f"the budget of {MAX_GRID_POINTS} grid points"
             )
+        try:
+            box.check_lattice(self.grid_per_axis)
+        except ValueError as exc:
+            raise ConfigError(f"grid_per_axis {self.grid_per_axis}: {exc}") from exc
         _check_double_range(fam, box)
         if not (_is_real(self.tail_fraction) and 0.0 < self.tail_fraction <= 1.0):
             raise ConfigError("tail_fraction must lie in (0, 1]")
@@ -176,9 +180,7 @@ class RunConfig:
                 raise ConfigError("schedule eta0 and exponent must be finite numbers")
             try:
                 doc["schedule"] = Schedule(
-                    kind=sch.get("kind", "harmonic"),
-                    eta0=float(sch.get("eta0", 1.0)),
-                    exponent=float(sch.get("exponent", 1.0)),
+                    **{key: value if key == "kind" else float(value) for key, value in sch.items()}
                 )
             except ValueError as exc:
                 raise ConfigError(f"bad schedule: {exc}") from exc

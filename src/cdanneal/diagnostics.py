@@ -413,7 +413,6 @@ class RateFit:
     slope: float
     intercept: float
     residuals: np.ndarray
-    coverage: dict | None
 
     @property
     def converging(self) -> bool:
@@ -427,18 +426,11 @@ def envelope_coverage(values, bound: float) -> float:
     return float(np.mean(np.asarray(values) < bound))
 
 
-def rate_fit(
-    deltas_by_n: dict[int, "np.ndarray | list[float]"],
-    bounds: dict[int, float] | None = None,
-) -> RateFit:
+def rate_fit(deltas_by_n: dict[int, "np.ndarray | list[float]"]) -> RateFit:
     """Least-squares slope of log median error versus log sample size.
 
     Requires at least three distinct sizes with at least ten replicates
-    each.  When ``bounds`` gives the theoretical envelope of each size
-    (``TheoryConstants.rate_bound(n)``), the fraction of replicates under it
-    is reported per size and overall; a size whose envelope is infinite
-    covers nan and is left out of the overall fraction (nan when no
-    envelope is finite).
+    each.
     """
     if len(deltas_by_n) < 3:
         raise ValueError("need at least 3 distinct sample sizes")
@@ -448,26 +440,14 @@ def rate_fit(
         if g.size < 10:
             raise ValueError(f"need at least 10 replicates per size, got {g.size} at n={int(n)}")
     medians = np.array([float(np.median(g)) for g in groups])
-    if np.all(medians == 0) or np.any(medians <= 0):
+    if np.any(medians <= 0):
         raise ValueError("degenerate tail errors; log fit undefined")
     slope, intercept = np.polyfit(np.log(sizes), np.log(medians), 1)
     residuals = np.log(medians) - (slope * np.log(sizes) + intercept)
-    coverage = None
-    if bounds is not None:
-        per_size = {}
-        covered = total = 0
-        for n, g in zip(sizes, groups):
-            bound = bounds[int(n)]
-            per_size[int(n)] = envelope_coverage(g, bound)
-            if math.isfinite(bound):
-                covered += int(np.sum(g < bound))
-                total += g.size
-        coverage = {"per_size": per_size, "overall": covered / total if total else math.nan}
     return RateFit(
         sizes=sizes,
         medians=medians,
         slope=float(slope),
         intercept=float(intercept),
         residuals=residuals,
-        coverage=coverage,
     )

@@ -44,6 +44,7 @@ from .learner import (
     RNG_STREAM_DATA,
     TailDistance,
     Trajectory,
+    _is_key_word,
     delta_n,
     run_cd,
     weighted_average_series,
@@ -465,7 +466,6 @@ class ExperimentResult:
     out_dir: Path
     deltas: dict
     constants: dict
-    outcomes: list
 
 
 def _prepare_out_dir(out_dir) -> Path:
@@ -489,8 +489,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run the full cell grid and persist trajectories, diagnostics and plots."""
     config.validate()
-    if master_seed < 0:
-        raise ConfigError("master seed must be nonnegative")
+    if not _is_key_word(master_seed):
+        raise ConfigError("master seed must be a nonnegative integer below 2**64")
     out = _prepare_out_dir(out_dir)
     versions = {
         "cdanneal": __version__,
@@ -519,7 +519,7 @@ def run_experiment(
     series = _write_plot_data(out, groups, theta_star, constants, deltas)
     if svg:
         _write(out / "plots" / "convergence.svg", _svg_chart(series))
-    return ExperimentResult(out_dir=out, deltas=deltas, constants=constants, outcomes=outcomes)
+    return ExperimentResult(out_dir=out, deltas=deltas, constants=constants)
 
 
 def _write_constraint_report(out: Path, tasks: list[CellTask]) -> None:
@@ -610,11 +610,8 @@ def verify_assumptions(config: RunConfig, out_dir=None) -> dict:
 
 @dataclass
 class RateSweepResult:
-    out_dir: Path
     fits: dict
-    deltas: dict
     ok: bool
-    verdict: dict
 
 
 def rate_sweep(config: RunConfig, out_dir, master_seed: int = 0, workers: int = 1) -> RateSweepResult:
@@ -623,7 +620,8 @@ def rate_sweep(config: RunConfig, out_dir, master_seed: int = 0, workers: int = 
     The sweep needs at least three sample sizes and ten seeds.  The verdict
     requires, for every chain length m: strictly decreasing medians, a fitted
     slope inside RATE_SLOPE_BAND, and across chain lengths a slope spread
-    below SLOPE_GAP_TOL.
+    below SLOPE_GAP_TOL.  ``rate/rate_fit.json`` holds only what the fits and
+    the verdict add to ``plots/delta_vs_n.csv``, the one per-(n, m) table.
     """
     config.validate()
     if len(config.n_values) < 3:
@@ -631,55 +629,26 @@ def rate_sweep(config: RunConfig, out_dir, master_seed: int = 0, workers: int = 
     if len(config.seeds) < 10:
         raise ConfigError("rate sweep needs at least 10 seeds")
     run = run_experiment(config, out_dir, master_seed=master_seed, workers=workers)
-    out = run.out_dir
 
-    fits = {}
-    verdict = {"per_m": {}, "slope_gap": None, "ok": False}
-    slopes = {}
+    fits, fit_doc = {}, {}
     for m in sorted(int(v) for v in config.m_values):
-        deltas_by_n = {n: run.deltas[(n, m)] for n in sorted(int(v) for v in config.n_values)}
-        fit = rate_fit(deltas_by_n, {n: run.constants[(n, m)].rate_bound(n) for n in deltas_by_n})
-        fits[m] = fit
-        slopes[m] = fit.slope
-        medians = fit.medians
-        monotone = bool(np.all(np.diff(medians) < 0))
-        in_band = RATE_SLOPE_BAND[0] <= fit.slope <= RATE_SLOPE_BAND[1]
-        verdict["per_m"][m] = {
+        fit = fits[m] = rate_fit({n: run.deltas[(n, m)] for n in config.n_values})
+        fit_doc[str(m)] = {
             "slope": fit.slope,
-            "monotone_medians": monotone,
-            "slope_in_band": in_band,
-            "medians": {int(n): float(v) for n, v in zip(fit.sizes, medians)},
-            "coverage": fit.coverage,
+            "intercept": fit.intercept,
+            "residuals": fit.residuals,
+            "converging": fit.converging,
+            "monotone_medians": bool(np.all(np.diff(fit.medians) < 0)),
+            "slope_in_band": RATE_SLOPE_BAND[0] <= fit.slope <= RATE_SLOPE_BAND[1],
         }
-    gap = max(slopes.values()) - min(slopes.values()) if len(slopes) > 1 else 0.0
-    verdict["slope_gap"] = gap
-    verdict["ok"] = all(
-        v["monotone_medians"] and v["slope_in_band"] for v in verdict["per_m"].values()
-    ) and gap < SLOPE_GAP_TOL
-
-    rows = [
-        (n, m, med, run.constants[(n, m)].rate_bound(n), fits[m].coverage["per_size"][n])
-        for m in sorted(fits)
-        for n, med in zip(fits[m].sizes.astype(int).tolist(), fits[m].medians)
-    ]
-    _write(
-        out / "rate" / "rate_summary.csv",
-        _csv(["n", "m", "median_delta", "rate_bound", "coverage"], list(zip(*rows))),
+    slopes = [fit.slope for fit in fits.values()]
+    gap = max(slopes) - min(slopes)
+    ok = gap < SLOPE_GAP_TOL and all(
+        doc["monotone_medians"] and doc["slope_in_band"] for doc in fit_doc.values()
     )
-    fit_doc = {
-        str(m): {
-            "slope": fits[m].slope,
-            "intercept": fits[m].intercept,
-            "medians": {str(int(n)): float(v) for n, v in zip(fits[m].sizes, fits[m].medians)},
-            "residuals": [float(r) for r in fits[m].residuals],
-            "converging": fits[m].converging,
-            "coverage": fits[m].coverage,
-        }
-        for m in sorted(fits)
-    }
-    fit_doc["verdict"] = verdict
-    _write(out / "rate" / "rate_fit.json", _json_text(_scrub(fit_doc)))
-    return RateSweepResult(out_dir=out, fits=fits, deltas=run.deltas, ok=verdict["ok"], verdict=verdict)
+    fit_doc["verdict"] = {"slope_gap": gap, "ok": ok}
+    _write(run.out_dir / "rate" / "rate_fit.json", _json_text(_scrub(fit_doc)))
+    return RateSweepResult(fits=fits, ok=ok)
 
 
 # ----------------------------------------------------------------------
@@ -703,8 +672,8 @@ def _read_stored_config(out: Path) -> tuple[RunConfig, int]:
     if not isinstance(doc, dict) or "config" not in doc:
         raise ConfigError(f'{path} holds no "config" object')
     master_seed = doc.get("master_seed", 0)
-    if not isinstance(master_seed, int) or master_seed < 0:
-        raise ConfigError(f"{path} holds no nonnegative integer master_seed")
+    if not _is_key_word(master_seed):
+        raise ConfigError(f"{path} holds no master_seed that is a nonnegative integer below 2**64")
     return RunConfig.from_dict(doc["config"]), master_seed
 
 

@@ -48,8 +48,13 @@ RNG_STREAM_CD = 1
 RNG_STREAM_DATA = 2
 
 
+def _is_key_word(v) -> bool:
+    """Whether ``v`` can be a word of a generator key: an integer in [0, 2**64)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < 2**64
+
+
 def _check_key_word(v) -> None:
-    if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not 0 <= v < 2**64:
+    if not _is_key_word(v):
         raise ValueError(f"rng key components must be nonnegative integers below 2**64, got {v!r}")
 
 
@@ -106,7 +111,7 @@ class Schedule:
     but fail the annealing conditions and are flagged as such.
     """
 
-    kind: str
+    kind: str = "harmonic"
     eta0: float = 1.0
     exponent: float = 1.0
 

@@ -127,12 +127,21 @@ class ParamBox:
     def clip(self, theta: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(theta, dtype=float), -self.half_width, self.half_width)
 
+    def axis(self, per_axis: int) -> np.ndarray:
+        """The coordinates of the lattice along one axis, shape (per_axis,)."""
+        return np.linspace(-self.half_width, self.half_width, per_axis)
+
+    def check_lattice(self, per_axis: int) -> None:
+        """Refuse a lattice whose adjacent points coincide (lie under _COINCIDENT apart)."""
+        spacing = float(np.diff(self.axis(per_axis)).min())
+        if spacing < _COINCIDENT:
+            raise ValueError(f"grid points {spacing:.3g} apart coincide (< {_COINCIDENT:g})")
+
     def grid(self, per_axis: int) -> np.ndarray:
         """Regular lattice over the box, shape (per_axis**dim, dim)."""
         if per_axis < 2:
             raise ValueError("per_axis must be at least 2")
-        axis = np.linspace(-self.half_width, self.half_width, per_axis)
-        mesh = np.meshgrid(*([axis] * self.dim), indexing="ij")
+        mesh = np.meshgrid(*([self.axis(per_axis)] * self.dim), indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:

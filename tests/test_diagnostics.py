@@ -14,6 +14,7 @@ from cdanneal.diagnostics import (
     bias_bound_grid,
     cd_conditional_moments,
     drift_report,
+    envelope_coverage,
     expected_sq_distance_after_step,
     martingale_report,
     occupancy_report,
@@ -439,21 +440,19 @@ class TestRateFit:
         assert not fit.converging
 
     def test_coverage_against_envelope(self):
-        deltas = {n: [float(n) ** (-1 / 3)] * 10 for n in (100, 1000, 10_000)}
-        fit = rate_fit(deltas, _envelope({n: 2.0 for n in deltas}))
-        assert fit.coverage["overall"] == 1.0
+        # per size: the fraction of tail errors strictly under the envelope
+        # bounds: about 0.25 > 0.1 at n=1000, about 0.03 < 0.046 at n=10^4
+        bounds = _envelope({1000: 2.0, 10_000: 0.5})
+        assert envelope_coverage([1000 ** (-1 / 3)] * 10, bounds[1000]) == 1.0
+        assert envelope_coverage([10_000 ** (-1 / 3)] * 10, bounds[10_000]) == 0.0
+        bound = bounds[1000]
+        assert envelope_coverage([bound] * 10, bound) == 0.0
+        assert envelope_coverage([bound] * 5 + [np.nextafter(bound, 0.0)] * 5, bound) == 0.5
 
     def test_infinite_envelope_has_no_coverage(self):
-        deltas = {n: [float(n) ** (-1 / 3)] * 10 for n in (100, 1000, 10_000)}
-        # bounds: inf at n=100, about 0.25 > 0.1 at n=1000, about 0.03 < 0.046 at n=10^4
-        bounds = _envelope({100: math.inf, 1000: 2.0, 10_000: 0.5})
-        fit = rate_fit(deltas, bounds)
-        assert math.isnan(fit.coverage["per_size"][100])
-        assert fit.coverage["per_size"][1000] == 1.0
-        assert fit.coverage["per_size"][10_000] == 0.0
-        assert fit.coverage["overall"] == 0.5  # finite-bound sizes only
-        fit = rate_fit(deltas, _envelope({n: math.inf for n in deltas}))
-        assert math.isnan(fit.coverage["overall"])
+        deltas = [100 ** (-1 / 3)] * 10
+        assert math.isnan(envelope_coverage(deltas, _envelope({100: math.inf})[100]))
+        assert math.isnan(envelope_coverage(deltas, math.nan))
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):

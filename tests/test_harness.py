@@ -35,6 +35,9 @@ DUPLICATE_STATE_MODEL = {"states": [[0], [0]], "phi": [[0.0], [1.0]]}
 HUGE_GRID = {"model": {"type": "fvbm", "p": 4}, "theta_star": [0.0] * 10, "grid_per_axis": 9}
 # FVBM p = 6 has dim 21, so even 2 points per axis is 2**21 > MAX_GRID_POINTS.
 P6_GRID = {"model": {"type": "fvbm", "p": 6}, "theta_star": [0.0] * 21, "grid_per_axis": 2}
+# Grid 3 over half-width 1e-13 puts adjacent grid points 1e-13 apart, closer
+# than the 1e-12 below which two parameter points count as one.
+COINCIDENT_GRID = {"theta_star": [0.0, 0.0, 0.0], "half_width": 1e-13, "grid_per_axis": 3}
 # All of {0,1}^13 with phi = the first coordinate: one parameter, 3 grid points,
 # but 8192 states, so every dense Gibbs kernel would take 512 MB.
 SITES_13 = [list(x) for x in itertools.product((0, 1), repeat=13)]
@@ -124,6 +127,8 @@ class TestRunConfig:
             {"model": DUPLICATE_STATE_MODEL, "theta_star": [0.3]},
             {"n_values": [60, 60]},
             {"m_values": [2, 4, 2]},
+            {"seeds": [0, 2**64]},
+            COINCIDENT_GRID,
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -163,6 +168,13 @@ class TestRunConfig:
         small_config(**fvbm1, grid_per_axis=MAX_GRID_POINTS)
         with pytest.raises(ConfigError, match="budget"):
             small_config(**fvbm1, grid_per_axis=MAX_GRID_POINTS + 1)
+
+    def test_limits_of_seeds_and_grid_spacing_are_inclusive(self):
+        small_config(seeds=[0, 2**64 - 1])
+        # grid 3 over [-w, w] puts adjacent points w apart; below 1e-12 they coincide
+        small_config(**dict(COINCIDENT_GRID, half_width=1e-12))
+        with pytest.raises(ConfigError, match="coincide"):
+            small_config(**dict(COINCIDENT_GRID, half_width=0.99e-12))
 
     def test_box_whose_probabilities_underflow_rejected(self):
         # p = 2: at the corner theta = (w, w, w) state 00 has log p = -3w, which
@@ -379,12 +391,29 @@ class TestRateSweep:
         result = rate_sweep(config, tmp_path / "rate", master_seed=2)
         assert set(result.fits) == {1}
         assert isinstance(result.ok, bool)
-        summary = (tmp_path / "rate" / "rate" / "rate_summary.csv").read_text().strip().split("\n")
-        assert summary[0] == "n,m,median_delta,rate_bound,coverage"
-        assert len(summary) == 4
-        fit_doc = json.loads((tmp_path / "rate" / "rate" / "rate_fit.json").read_text())
-        assert "verdict" in fit_doc and "1" in fit_doc
-        assert "slope" in fit_doc["1"]
+        out = tmp_path / "rate"
+        assert not (out / "rate" / "rate_summary.csv").exists()
+        assert [path.name for path in (out / "rate").iterdir()] == ["rate_fit.json"]
+        fit_doc = json.loads((out / "rate" / "rate_fit.json").read_text())
+        assert set(fit_doc) == {"1", "verdict"}
+        assert set(fit_doc["1"]) == {
+            "slope",
+            "intercept",
+            "residuals",
+            "converging",
+            "monotone_medians",
+            "slope_in_band",
+        }
+        assert fit_doc["1"]["slope"] == result.fits[1].slope
+        assert set(fit_doc["verdict"]) == {"slope_gap", "ok"}
+        assert fit_doc["verdict"]["ok"] is result.ok
+        # the medians the fit judged are the ones delta_vs_n.csv holds
+        lines = (out / "plots" / "delta_vs_n.csv").read_text().strip().split("\n")
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        for m, fit in result.fits.items():
+            mine = [row for row in rows if int(row["m"]) == m]
+            assert [int(row["n"]) for row in mine] == fit.sizes.tolist()
+            assert np.array_equal([float(row["median_delta"]) for row in mine], fit.medians)
         # exact_step_checks is off, so no check ran in any cell
         cell = tmp_path / "rate" / "cells" / "n90_m1_s3"
         entries = json.loads((cell / "diagnostics.json").read_text())
@@ -421,6 +450,13 @@ class TestDiagnose:
     def test_missing_run_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             diagnose_run(tmp_path / "nowhere")
+
+    def test_stored_master_seed_over_key_limit_rejected(self, run_dir, tmp_path):
+        out = tmp_path / "stored"
+        shutil.copytree(run_dir[0], out)
+        _edit_json(out / "config.json", master_seed=2**64)
+        with pytest.raises(ConfigError, match="holds no master_seed"):
+            diagnose_run(out)
 
     def test_run_then_diagnose_changes_no_file(self, tmp_path):
         # half-width 1.25 admits m = 16 with a positive drift coefficient, so
@@ -593,6 +629,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, overrides",
+        [
+            (["run"], {"seeds": [0, 2**64]}),
+            (["run", "--seed", str(2**64)], {}),
+            (["verify"], COINCIDENT_GRID),
+        ],
+        ids=["seed_over_key_limit", "master_seed_over_key_limit", "coincident_grid_points"],
+    )
+    def test_value_the_program_cannot_use_exits_two(self, tmp_path, capsys, argv, overrides):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(small_config().to_dict(), **overrides)))
+        assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_model_over_the_state_cap_exits_two_before_allocating(self, tmp_path, capsys):
         path = tmp_path / "config.json"
