@@ -201,9 +201,6 @@ class DriftReport(BoundCheck):
     """Per-step exact conditional decrement versus the quadratic drift bound."""
 
     t: np.ndarray
-    h: np.ndarray
-    in_layer: np.ndarray
-    in_ball: np.ndarray
 
 
 def drift_report(
@@ -226,22 +223,17 @@ def drift_report(
     center = checks.mle.theta
     steps = traj.steps
     h = np.linalg.norm(traj.thetas[:steps] - center, axis=1)
-    in_layer = traj.boundary_hits[:steps].copy()
     etas = traj.etas[:steps]
     a, b = constants.drift_coeff, constants.fluctuation_scale
     four_dc2 = 4.0 * fam.dim * fam.stat_bound**2
-    guard = np.where(in_layer, 0.0, 1.0)
+    guard = np.where(traj.boundary_hits[:steps], 0.0, 1.0)
     rhs = h**2 - 2.0 * etas * (a * h**2 - b * h) * guard + four_dc2 * etas**2
-    in_ball = h <= constants.ball_radius
     return DriftReport(
         t=np.arange(steps),
-        h=h,
         lhs=_expected_sq_series(fam, box, traj, data, center),
         rhs=rhs,
         active=np.ones(steps, dtype=bool),
         hypotheses_met=checks.passed,
-        in_layer=in_layer,
-        in_ball=in_ball,
     )
 
 

@@ -302,24 +302,9 @@ def _map_tasks(tasks: list[CellTask], workers: int) -> list[CellOutcome]:
 # ----------------------------------------------------------------------
 
 
-def _trajectory_csv(traj: Trajectory, theta_star: np.ndarray, mle_theta) -> str:
-    d, rows, tail = traj.dim, traj.steps + 1, slice(traj.burn_in, None)
-    avgs = np.full((rows, d), np.nan)
-    avgs[tail] = traj.weighted_avgs
-    dist_to_mle = np.full(rows, np.nan)
-    dist_to_true = np.full(rows, np.nan)
-    if mle_theta is not None:
-        dist_to_mle[tail] = np.linalg.norm(traj.weighted_avgs - mle_theta, axis=1)
-    dist_to_true[tail] = np.linalg.norm(traj.weighted_avgs - theta_star, axis=1)
-    header = (
-        ["t", "eta_t"]
-        + [f"theta_{j + 1}" for j in range(d)]
-        + ["boundary_hit"]
-        + [f"thetabar_{j + 1}" for j in range(d)]
-        + ["dist_to_mle", "dist_to_true"]
-    )
-    columns = [np.arange(rows), traj.etas, *traj.thetas.T, traj.boundary_hits, *avgs.T]
-    return _csv(header, columns + [dist_to_mle, dist_to_true])
+def _trajectory_csv(traj: Trajectory) -> str:
+    header = ["t", "eta_t", *(f"theta_{j + 1}" for j in range(traj.dim)), "boundary_hit"]
+    return _csv(header, [np.arange(traj.steps + 1), traj.etas, *traj.thetas.T, traj.boundary_hits])
 
 
 def _diagnostic_entries(outcome: CellOutcome) -> list[dict]:
@@ -340,26 +325,10 @@ def _diagnostic_entries(outcome: CellOutcome) -> list[dict]:
 
 
 def _write_cell_diagnostics(cell_dir: Path, outcome: CellOutcome) -> list[dict]:
-    """Write a cell's diagnostics.json and the per-step CSV of every check that ran."""
-    drift, mart = outcome.drift, outcome.martingale
+    """Write a cell's diagnostics.json and, when drift ran, its exact series to drift.csv."""
+    drift = outcome.drift
     if drift is not None:
-        _write(
-            cell_dir / "drift.csv",
-            _csv(
-                ["t", "h", "lhs", "rhs", "slack", "in_layer", "in_ball"],
-                [drift.t, drift.h, drift.lhs, drift.rhs, drift.slack, drift.in_layer, drift.in_ball],
-            ),
-        )
-    if mart is not None:
-        _write(
-            cell_dir / "martingale.csv",
-            _csv(
-                ["t", "increment_out", "increment_in", "active_out", "active_in",
-                 "cond_mean_out", "cond_mean_in"],
-                [mart.t, mart.increment_out, mart.increment_in, mart.active_out, mart.active_in,
-                 mart.out.lhs, mart.inside.lhs],
-            ),
-        )
+        _write(cell_dir / "drift.csv", _csv(["t", "lhs", "rhs"], [drift.t, drift.lhs, drift.rhs]))
     entries = _diagnostic_entries(outcome)
     _write(cell_dir / "diagnostics.json", _json_text(_scrub(entries)))
     return entries
@@ -506,8 +475,7 @@ def run_experiment(
 
     for task, outcome in zip(tasks, outcomes):
         cell_dir = out / "cells" / task.label
-        mle_theta = task.checks.mle.theta if task.checks is not None else None
-        _write(cell_dir / "trajectory.csv", _trajectory_csv(outcome.trajectory, theta_star, mle_theta))
+        _write(cell_dir / "trajectory.csv", _trajectory_csv(outcome.trajectory))
         _write(cell_dir / "meta.json", _json_text(_scrub(_meta_dict(task, outcome))))
         _write_cell_diagnostics(cell_dir, outcome)
 

@@ -292,7 +292,7 @@ class TailDistance:
     window_start: int
 
 
-def delta_n(traj: Trajectory, theta_star, tail_fraction: float = 0.1) -> TailDistance:
+def delta_n(traj: Trajectory, theta_star, tail_fraction: float) -> TailDistance:
     """Max distance of the weighted average from theta_star over the tail.
 
     The tail window covers the final ``tail_fraction`` of the run (never

@@ -220,9 +220,10 @@ class TestDrift:
         assert report.hypotheses_met == checks.passed
         assert report.violations == 0
         assert report.worst_slack >= -1e-10
-        frozen = np.flatnonzero(report.in_layer)
+        h = np.linalg.norm(traj.thetas[: traj.steps] - checks.mle.theta, axis=1)
+        frozen = np.flatnonzero(traj.boundary_hits[: traj.steps])
         for t in frozen:
-            assert report.lhs[t] == pytest.approx(report.h[t] ** 2, abs=1e-14)
+            assert report.lhs[t] == pytest.approx(h[t] ** 2, abs=1e-14)
 
     def test_variance_term_included(self, fvbm2, small_box, admissible_setup):
         # the conditional second moment exceeds the squared drifted mean

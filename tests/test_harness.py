@@ -1,6 +1,8 @@
 """Configuration round trips, output schemas, determinism and CLI wiring."""
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import platform
@@ -24,6 +26,7 @@ from cdanneal.harness import (
     verify_assumptions,
 )
 from cdanneal.learner import Schedule
+from test_readme import BLOCKS as README_BLOCKS
 
 
 # Three states on one coordinate: enumerable, but not {0,1}^p, so random-scan
@@ -200,6 +203,16 @@ class TestRunConfig:
 
 
 @pytest.fixture(scope="module")
+def recipe():
+    """The namespace of README's recipe for the values 0.12.0 stopped writing, after it ran."""
+    (block,) = [b for b in README_BLOCKS if "def dropped_columns" in b]
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(block, "README.md recipe", "exec"), namespace)
+    return namespace
+
+
+@pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     config = small_config()
@@ -218,16 +231,11 @@ class TestRunExperiment:
         out, _ = run_dir
         path = out / "cells" / "n60_m1_s0" / "trajectory.csv"
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == (
-            "t,eta_t,theta_1,theta_2,theta_3,boundary_hit,"
-            "thetabar_1,thetabar_2,thetabar_3,dist_to_mle,dist_to_true"
-        )
+        assert lines[0] == "t,eta_t,theta_1,theta_2,theta_3,boundary_hit"
         assert len(lines) == 42  # header + iterations + 1 rows
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[6] == "nan"
-        last = lines[-1].split(",")
-        assert last[0] == "41" or last[0] == "40"
-        assert float(last[-1]) >= 0
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == [str(t) for t in range(41)]
+        assert all(len(row) == 6 and row[5] in ("0", "1") for row in rows)
 
     def test_meta_and_diagnostics_schema(self, run_dir):
         out, _ = run_dir
@@ -263,16 +271,35 @@ class TestRunExperiment:
         assert summary[0] == "n,m,median_delta,q25,q75,rate_bound,coverage"
         assert len(summary) == 2
 
-    def test_trajectory_distances_match_plot_data(self, run_dir):
-        out, _ = run_dir
-        plot_csv = out / "plots" / "avg_distance_n60_m1.csv"
-        plot = [line.split(",") for line in plot_csv.read_text().split()]
-        for rep in (0, 1):
-            path = out / "cells" / f"n60_m1_s{rep}" / "trajectory.csv"
-            rows = [line.split(",") for line in path.read_text().split()]
-            dist_to_true = [row[rows[0].index("dist_to_true")] for row in rows[1:]]
-            column = [row[plot[0].index(f"s{rep}")] for row in plot[1:]]
-            assert dist_to_true == ["nan"] * (len(rows) - 1 - len(column)) + column
+    def test_readme_recipe_rebuilds_every_dropped_column(self, recipe, tmp_path):
+        # the recipe's cells, evaluated in memory, hold every value it rebuilt from disk
+        tasks, _ = harness._prepare_cells(recipe["config"], 0)
+        assert sorted(recipe["rebuilt"]) == [task.label for task in tasks]
+        run_experiment(recipe["config"], tmp_path, master_seed=0)
+        plot = recipe["read_csv"](tmp_path / "plots" / "avg_distance_n1000_m16.csv")
+        for task in tasks:
+            cols, outcome = recipe["rebuilt"][task.label], harness._run_cell(task)
+            traj, drift, mart = outcome.trajectory, outcome.drift, outcome.martingale
+            steps, tail, mle = traj.steps, slice(traj.burn_in, None), task.checks.mle.theta
+            h = np.linalg.norm(traj.thetas - mle, axis=1)
+            assert mart is not None and mart.out is not None
+            assert np.isnan(cols["thetabar"][: traj.burn_in]).all()
+            assert np.array_equal(cols["thetabar"][tail], traj.weighted_avgs)
+            for name, center in (("dist_to_mle", mle), ("dist_to_true", task.data.theta_star)):
+                assert np.isnan(cols[name][: traj.burn_in]).all()
+                assert np.array_equal(
+                    cols[name][tail], np.linalg.norm(traj.weighted_avgs - center, axis=1)
+                )
+            # the plot data holds each seed's distances to the truth from the burn-in on
+            assert np.array_equal(cols["dist_to_true"][tail], plot[f"s{task.replicate}"])
+            assert np.array_equal(cols["h"], h[:steps])
+            assert np.array_equal(cols["slack"], drift.slack)
+            assert np.array_equal(cols["in_layer"], traj.boundary_hits[:steps])
+            assert np.array_equal(cols["in_ball"], h[:steps] <= task.constants.ball_radius)
+            for name in ("t", "increment_out", "increment_in", "active_out", "active_in"):
+                assert np.array_equal(cols[name], getattr(mart, name))
+            assert np.array_equal(cols["cond_mean_out"], mart.out.lhs)
+            assert np.array_equal(cols["cond_mean_in"], mart.inside.lhs)
 
     def test_coverage_is_nan_against_an_infinite_bound(self, run_dir):
         # half-width 3 with m = 1: the drift coefficient is not positive
@@ -468,13 +495,38 @@ class TestDiagnose:
         result = run_experiment(config, out, master_seed=3)
         assert result.constants[(200, 16)].drift_coeff > 0
         before = file_digests(out)
-        assert {"cells/n200_m16_s0/martingale.csv", "cells/n200_m16_s1/drift.csv"} <= set(before)
+        for cell in ("n200_m16_s0", "n200_m16_s1"):
+            assert f"cells/{cell}/drift.csv" in before
+            assert f"cells/{cell}/martingale.csv" not in before
         coverage = (out / "plots" / "delta_vs_n.csv").read_text().strip().split("\n")[1].split(",")[-1]
         assert 0.0 <= float(coverage) <= 1.0
         assert diagnose_run(out).ok
         after = file_digests(out)
         assert set(after) - set(before) == {"diagnose_summary.json"}
         assert {path: after[path] for path in before} == before
+
+    def test_run_stored_in_the_0_11_layout_still_diagnoses(self, recipe, tmp_path):
+        # 0.11.0 wrote the recipe's columns too: averages and distances in
+        # trajectory.csv, h, slack and both indicators in drift.csv, and martingale.csv
+        config = small_config(
+            n_values=[200], m_values=[16], iterations=60, burn_in=6, half_width=1.25
+        )
+        out = tmp_path / "run"
+        run_experiment(config, out, master_seed=3)
+        cells = sorted((out / "cells").iterdir())
+        kept = {}
+        for cell in cells:
+            cols, drift = recipe["dropped_columns"](cell), recipe["read_csv"](cell / "drift.csv")
+            kept[cell.name] = (cell / "drift.csv").read_text()
+            _write_0_11_layout(cell, cols, drift)
+        before = file_digests(out)
+        assert diagnose_run(out).ok
+        after = file_digests(out)
+        assert set(after) - set(before) == {"diagnose_summary.json"}
+        changed = {path for path in before if after[path] != before[path]}
+        assert changed == {f"cells/{cell.name}/drift.csv" for cell in cells}
+        for cell in cells:
+            assert (cell / "drift.csv").read_text() == kept[cell.name]
 
     def test_failed_sample_leaves_occupancy_unjudged(self, tmp_path):
         # at master seed 0 the n = 100 sample of replicate 1 fails its quality
@@ -522,6 +574,23 @@ def file_digests(root: Path) -> dict:
         for path in sorted(root.rglob("*"))
         if path.is_file()
     }
+
+
+def _write_0_11_layout(cell: Path, cols: dict, drift: dict) -> None:
+    """Give a cell the trajectory.csv, drift.csv and martingale.csv that 0.11.0 wrote."""
+    traj_path = cell / "trajectory.csv"
+    extra = {f"thetabar_{j + 1}": col for j, col in enumerate(cols["thetabar"].T)}
+    extra.update(dist_to_mle=cols["dist_to_mle"], dist_to_true=cols["dist_to_true"])
+    rendered = harness._csv(list(extra), list(extra.values())).splitlines()
+    lines = traj_path.read_text().splitlines()
+    traj_path.write_text("".join(f"{a},{b}\n" for a, b in zip(lines, rendered)))
+    drift_doc = dict(cols, lhs=drift["lhs"], rhs=drift["rhs"])
+    for name, header in (
+        ("drift.csv", ["t", "h", "lhs", "rhs", "slack", "in_layer", "in_ball"]),
+        ("martingale.csv", ["t", "increment_out", "increment_in", "active_out", "active_in",
+                            "cond_mean_out", "cond_mean_in"]),
+    ):
+        harness._write(cell / name, harness._csv(header, [drift_doc[key] for key in header]))
 
 
 def _edit_json(path: Path, **changes) -> None:

@@ -499,7 +499,7 @@ def _synthetic_trajectory(avgs, burn_in=0):
 class TestDeltaN:
     def test_zero_when_average_sits_on_target(self, theta_star):
         avgs = np.tile(theta_star, (1001, 1))
-        result = delta_n(_synthetic_trajectory(avgs), theta_star)
+        result = delta_n(_synthetic_trajectory(avgs), theta_star, tail_fraction=0.1)
         assert result.tail_max == 0.0 and result.final == 0.0
 
     def test_decreasing_tail_takes_window_start(self, theta_star):
