@@ -16,7 +16,6 @@ byte identical.
 from __future__ import annotations
 
 import json
-import math
 import multiprocessing
 import platform
 import warnings
@@ -147,10 +146,6 @@ class CellTask:
     @property
     def label(self) -> str:
         return f"n{self.n}_m{self.m}_s{self.replicate}"
-
-    @property
-    def data_id(self) -> str:
-        return f"n{self.n}-ms{self.master_seed}-r{self.replicate}"
 
 
 @dataclass
@@ -335,29 +330,20 @@ def _write_cell_diagnostics(cell_dir: Path, outcome: CellOutcome) -> list[dict]:
 
 
 def _meta_dict(task: CellTask, outcome: CellOutcome) -> dict:
-    config, checks = task.config, task.checks
+    """The cell's own values; ``config.json`` and ``constants/`` own the rest."""
+    checks = task.checks
     meta = {
         "n": task.n,
         "m": task.m,
         "replicate": task.replicate,
-        "master_seed": task.master_seed,
         "data_seed": list(task.data.seed),
-        "data_id": task.data_id,
-        "iterations": config.iterations,
-        "burn_in": config.burn_in,
-        "gamma": config.gamma,
-        "tail_fraction": config.tail_fraction,
-        "half_width": config.half_width,
-        "theta_star": task.data.theta_star,
-        "model": config.model,
-        "schedule": asdict(config.schedule),
+        "burn_in": task.config.burn_in,
         "delta_tail_max": outcome.delta.tail_max,
         "delta_final": outcome.delta.final,
         "boundary_hit_count": int(np.sum(outcome.trajectory.boundary_hits)),
         "tail_boundary_hits": int(
             np.sum(outcome.trajectory.boundary_hits[outcome.delta.window_start :])
         ),
-        "constants": task.constants.to_dict(),
         "mle": None,
         "sample_checks": None,
     }
@@ -460,6 +446,8 @@ def run_experiment(
     config.validate()
     if not _is_key_word(master_seed):
         raise ConfigError("master seed must be a nonnegative integer below 2**64")
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     out = _prepare_out_dir(out_dir)
     versions = {
         "cdanneal": __version__,
@@ -483,33 +471,17 @@ def run_experiment(
     for task, outcome in sorted(zip(tasks, outcomes), key=lambda pair: pair[0].replicate):
         groups.setdefault((task.n, task.m), []).append((task, outcome))
     deltas = {key: np.array([o.delta.tail_max for _, o in cell]) for key, cell in groups.items()}
-    _write_constraint_report(out, tasks)
+    _write_constants(out, constants)
     series = _write_plot_data(out, groups, theta_star, constants, deltas)
     if svg:
         _write(out / "plots" / "convergence.svg", _svg_chart(series))
     return ExperimentResult(out_dir=out, deltas=deltas, constants=constants)
 
 
-def _write_constraint_report(out: Path, tasks: list[CellTask]) -> None:
-    rows = [
-        (
-            task.replicate,
-            task.n,
-            task.m,
-            name,
-            0 if check is None else int(check.passed),
-            math.nan if check is None else check.margin,
-        )
-        for task in tasks
-        for name, check in (
-            ("mle_deviation", None if task.checks is None else task.checks.mle_check),
-            ("empirical_process", None if task.checks is None else task.checks.empirical_check),
-        )
-    ]
-    _write(
-        out / "constraint_checks.csv",
-        _csv(["seed", "n", "m", "check", "pass", "margin"], list(zip(*rows))),
-    )
+def _write_constants(out: Path, constants: dict) -> None:
+    """One file per (n, m): the theory constants every cell of that (n, m) shares."""
+    for (n, m), consts in sorted(constants.items()):
+        _write(out / "constants" / f"constants_n{n}_m{m}.json", _json_text(_scrub(consts.to_dict())))
 
 
 def _write_plot_data(out, groups, theta_star, constants, deltas) -> list:
@@ -571,8 +543,7 @@ def verify_assumptions(config: RunConfig, out_dir=None) -> dict:
     if out_dir is not None:
         out = _prepare_out_dir(out_dir)
         _write(out / "assumptions.json", _json_text(_scrub(report)))
-        for (n, m), consts in sorted(constants.items()):
-            _write(out / "constants" / f"constants_n{n}_m{m}.json", _json_text(_scrub(consts.to_dict())))
+        _write_constants(out, constants)
     return report
 
 

@@ -51,6 +51,11 @@ OVER_STATE_CAP = {
 }
 
 
+# The keys of every meta.json: the five diagnose checks against config.json, then the cell's own values.
+META_KEYS = {
+    "n", "m", "replicate", "data_seed", "burn_in",
+    "delta_tail_max", "delta_final", "boundary_hit_count", "tail_boundary_hits", "mle", "sample_checks",
+}
 # The fields of every diagnostics.json record; occupancy adds OCCUPANCY_KEYS when it runs.
 RECORD_KEYS = {"steps", "violations", "worst_slack", "hypotheses_met"}
 OCCUPANCY_KEYS = {"threshold", "fraction_full", "fraction_tail_min"}
@@ -241,18 +246,14 @@ class TestRunExperiment:
         out, _ = run_dir
         cell = out / "cells" / "n60_m1_s1"
         meta = json.loads((cell / "meta.json").read_text())
-        for key in (
-            "n", "m", "replicate", "master_seed", "data_seed", "iterations",
-            "burn_in", "gamma", "schedule", "delta_tail_max", "constants",
-            "mle", "sample_checks", "boundary_hit_count",
-        ):
-            assert key in meta
+        assert set(meta) == META_KEYS
+        constants = json.loads((out / "constants" / "constants_n60_m1.json").read_text())
         entries = json.loads((cell / "diagnostics.json").read_text())
         checks = {e["check"] for e in entries}
         assert {"drift", "bias_bound", "martingale_outside_ball", "martingale_inside", "occupancy"} <= checks
         # half-width 3 leaves the drift coefficient negative at m = 1: no ball,
         # so the martingale and occupancy checks record why they did not run
-        assert not meta["constants"]["hypotheses_met"]
+        assert not constants["hypotheses_met"]
         ran = {"drift", "bias_bound"} if meta["sample_checks"]["passed"] else {"drift"}
         for entry in entries:
             extra = {"check"} if entry["check"] in ran else {"check", "reason"}
@@ -309,30 +310,46 @@ class TestRunExperiment:
         assert row[:2] == ["60", "1"]
         assert row[5:] == ["inf", "nan"]
 
-    def test_constraint_report_written(self, run_dir):
+    def test_sample_checks_recorded_in_meta(self, run_dir):
         out, _ = run_dir
-        lines = (out / "constraint_checks.csv").read_text().strip().split("\n")
-        assert lines[0] == "seed,n,m,check,pass,margin"
-        assert len(lines) == 5  # 2 seeds x 1 cell x 2 checks
-        for line in lines[1:]:
-            fields = line.split(",")
-            assert fields[3] in ("mle_deviation", "empirical_process")
-            assert fields[4] in ("0", "1")
+        assert not (out / "constraint_checks.csv").exists()
+        for seed in (0, 1):  # 2 seeds x 1 cell x 2 checks
+            checks = json.loads((out / "cells" / f"n60_m1_s{seed}" / "meta.json").read_text())[
+                "sample_checks"
+            ]
+            assert set(checks) == {"mle_constraint", "empirical_constraint", "passed"}
+            for name in ("mle_constraint", "empirical_constraint"):
+                assert set(checks[name]) == {"passed", "statistic", "bound", "margin"}
+                assert int(checks[name]["passed"]) in (0, 1)
+                assert isinstance(checks[name]["margin"], float)
+            assert checks["passed"] is (
+                checks["mle_constraint"]["passed"] and checks["empirical_constraint"]["passed"]
+            )
+
+    def test_constants_are_the_bytes_verify_writes(self, tmp_path):
+        config = small_config(n_values=[60, 90], m_values=[1, 2], seeds=[0], exact_step_checks=False)
+        run_experiment(config, tmp_path / "run", master_seed=0)
+        verify_assumptions(config, out_dir=tmp_path / "verify")
+        written = sorted((tmp_path / "run" / "constants").iterdir())
+        assert [path.name for path in written] == [
+            f"constants_n{n}_m{m}.json" for n in (60, 90) for m in (1, 2)
+        ]
+        for path in written:
+            assert path.read_bytes() == (tmp_path / "verify" / "constants" / path.name).read_bytes()
 
     def test_rerun_is_byte_identical(self, run_dir, tmp_path):
         out, _ = run_dir
         config = small_config()
         again = tmp_path / "again"
         run_experiment(config, again, master_seed=5)
-        assert tree_digest(out / "cells") == tree_digest(again / "cells")
-        assert tree_digest(out / "plots") == tree_digest(again / "plots")
+        assert file_digests(out) == file_digests(again)
 
     def test_workers_do_not_change_bytes(self, run_dir, tmp_path):
         out, _ = run_dir
         config = small_config()
         parallel = tmp_path / "parallel"
         run_experiment(config, parallel, master_seed=5, workers=2)
-        assert tree_digest(out / "cells") == tree_digest(parallel / "cells")
+        assert file_digests(out) == file_digests(parallel)
 
     @pytest.mark.parametrize("cells, workers, pools", [(3, 64, [3]), (3, 2, [2]), (1, 64, [])])
     def test_worker_pool_capped_at_the_cell_count(self, monkeypatch, cells, workers, pools):
@@ -358,6 +375,12 @@ class TestRunExperiment:
         tasks = ["a", "b", "c"][:cells]
         assert harness._map_tasks(tasks, workers) == [t.upper() for t in tasks]
         assert opened == pools
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, True])
+    def test_worker_count_not_a_positive_integer_rejected(self, tmp_path, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            run_experiment(small_config(), tmp_path / "o", master_seed=0, workers=workers)
+        assert not (tmp_path / "o").exists()
 
     def test_svg_emitted_on_request(self, tmp_path):
         config = small_config(seeds=[0])
@@ -507,7 +530,8 @@ class TestDiagnose:
 
     def test_run_stored_in_the_0_11_layout_still_diagnoses(self, recipe, tmp_path):
         # 0.11.0 wrote the recipe's columns too: averages and distances in
-        # trajectory.csv, h, slack and both indicators in drift.csv, and martingale.csv
+        # trajectory.csv, h, slack and both indicators in drift.csv, and
+        # martingale.csv; and the run files of 0.12.0 (see the next test)
         config = small_config(
             n_values=[200], m_values=[16], iterations=60, burn_in=6, half_width=1.25
         )
@@ -519,6 +543,7 @@ class TestDiagnose:
             cols, drift = recipe["dropped_columns"](cell), recipe["read_csv"](cell / "drift.csv")
             kept[cell.name] = (cell / "drift.csv").read_text()
             _write_0_11_layout(cell, cols, drift)
+        _write_pre_0_13_run_files(out, "0.11.0")
         before = file_digests(out)
         assert diagnose_run(out).ok
         after = file_digests(out)
@@ -527,6 +552,22 @@ class TestDiagnose:
         assert changed == {f"cells/{cell.name}/drift.csv" for cell in cells}
         for cell in cells:
             assert (cell / "drift.csv").read_text() == kept[cell.name]
+
+    def test_run_stored_in_the_0_12_layout_still_diagnoses(self, tmp_path):
+        # n = 4 leaves some samples without an MLE, whose constraint rows 0.12.0 wrote as 0, nan
+        config = small_config(
+            n_values=[4, 200], m_values=[16], iterations=60, burn_in=6, half_width=1.25
+        )
+        out = tmp_path / "run"
+        run_experiment(config, out, master_seed=3)
+        _write_pre_0_13_run_files(out, "0.12.0")
+        before = file_digests(out)
+        assert "constraint_checks.csv" in before
+        assert not any(path.startswith("constants") for path in before)
+        assert diagnose_run(out).ok
+        after = file_digests(out)
+        assert set(after) - set(before) == {"diagnose_summary.json"}
+        assert {path: after[path] for path in before} == before
 
     def test_failed_sample_leaves_occupancy_unjudged(self, tmp_path):
         # at master seed 0 the n = 100 sample of replicate 1 fails its quality
@@ -591,6 +632,36 @@ def _write_0_11_layout(cell: Path, cols: dict, drift: dict) -> None:
                             "cond_mean_out", "cond_mean_in"]),
     ):
         harness._write(cell / name, harness._csv(header, [drift_doc[key] for key in header]))
+
+
+def _write_pre_0_13_run_files(out: Path, version: str) -> None:
+    """Give a run the meta.json keys and constraint_checks.csv that 0.12.0 and earlier wrote.
+
+    Those versions repeated config.json's run-level values, a data label and
+    the (n, m) constants in every meta.json, and wrote no constants/.
+    """
+    doc = json.loads((out / "config.json").read_text())
+    config, seed = doc["config"], doc["master_seed"]
+    doc["versions"]["cdanneal"] = version
+    harness._write(out / "config.json", harness._json_text(doc))
+    copied = ("iterations", "gamma", "tail_fraction", "half_width", "theta_star", "model", "schedule")
+    rows = []
+    for cell in (out / "cells").iterdir():
+        meta = json.loads((cell / "meta.json").read_text())
+        n, m, rep = meta["n"], meta["m"], meta["replicate"]
+        constants = json.loads((out / "constants" / f"constants_n{n}_m{m}.json").read_text())
+        meta.update({key: config[key] for key in copied}, constants=constants)
+        meta.update(master_seed=seed, data_id=f"n{n}-ms{seed}-r{rep}")
+        harness._write(cell / "meta.json", harness._json_text(meta))
+        checks = meta["sample_checks"] or {}
+        for name, key in (("mle_deviation", "mle_constraint"), ("empirical_process", "empirical_constraint")):
+            check = checks.get(key)
+            passed, margin = (0, float("nan")) if check is None else (int(check["passed"]), check["margin"])
+            rows.append((rep, n, m, name, passed, margin))
+    rows.sort(key=lambda row: (row[1], row[0], row[2]))  # the order of run's cells
+    header = ["seed", "n", "m", "check", "pass", "margin"]
+    harness._write(out / "constraint_checks.csv", harness._csv(header, list(zip(*rows))))
+    shutil.rmtree(out / "constants")
 
 
 def _edit_json(path: Path, **changes) -> None:
@@ -714,6 +785,19 @@ class TestCli:
         assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "rate"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_worker_count_below_one_exits_two(self, tmp_path, capsys, command, workers):
+        # enough sizes and seeds for rate, so that the worker count is what it refuses
+        path = tmp_path / "config.json"
+        path.write_text(small_config(n_values=[30, 90, 270], seeds=list(range(10))).to_json())
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "o"), "--workers", workers]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: workers must be an integer >= 1")
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
