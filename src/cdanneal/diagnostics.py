@@ -18,8 +18,10 @@ from .learner import Trajectory
 from .model import (
     FiniteExpFamily,
     ParamBox,
+    _blocks,
     _data_counts,
     _in_blocks,
+    _per_point,
     boundary_layer_contains,
     mean_parameter,
 )
@@ -59,21 +61,27 @@ def _tail_start(length: int) -> int:
     return min(int(np.ceil((1.0 - TAIL_WINDOW) * length)), length - 1)
 
 
-def cd_conditional_moments(fam: FiniteExpFamily, theta, data, m: int) -> tuple[np.ndarray, float]:
+def cd_conditional_moments(fam: FiniteExpFamily, theta, data, m: int):
     """Conditional mean and total variance (trace of covariance) of the CD gradient.
 
     Chains started at distinct data points are conditionally independent
     given theta, so the gradient covariance is the per-datum endpoint
-    covariance summed and divided by n squared.
+    covariance summed and divided by n squared.  One point (d,) gives
+    ``(mean (d,), float)``; a stack (G, d) gives ``(means (G, d), traces (G,))``
+    from one kernel build and one matrix power, and every point of a stack
+    gets the same bits as when it is computed alone.  The data are counted
+    once per call.
     """
     counts = _data_counts(fam, data)
     n = int(counts.sum())
     km = kernel_power(build_gibbs_random_scan(fam, theta), m).probs
     rows, sq_rows = km @ fam.suff_stats, km @ fam.suff_stats**2
-    per_state_var = np.sum(sq_rows, axis=1) - np.sum(rows**2, axis=1)
-    var_trace = float(counts @ per_state_var) / n**2
+    per_state_var = np.sum(sq_rows, axis=-1) - np.sum(rows**2, axis=-1)
+    # Both reductions over states run per point (a dot, a vector-matrix
+    # product), so a point of a stack gets the bits it gets alone.
+    var_trace = (counts @ per_state_var[..., None])[..., 0] / n**2
     mean = counts @ fam.suff_stats / n - (counts / n) @ rows
-    return mean, var_trace
+    return mean, _per_point(var_trace)
 
 
 def expected_sq_distance_after_step(
@@ -84,29 +92,60 @@ def expected_sq_distance_after_step(
     data,
     m: int,
     center,
+    moments=None,
 ) -> float:
-    """Exact E[ |theta_next - center|^2 | theta ] under the guarded update."""
+    """Exact E[ |theta_next - center|^2 | theta ] under the guarded update.
+
+    ``moments`` is ``cd_conditional_moments(fam, theta, data, m)`` when the
+    caller has it already; the guard runs either way, so a frozen step
+    ignores it.
+    """
     theta = np.asarray(theta, dtype=float)
     center = np.asarray(center, dtype=float)
     if boundary_layer_contains(box, theta, eta, fam.stat_bound, fam.dim):
         return float(np.sum((theta - center) ** 2))
-    mean, var_trace = cd_conditional_moments(fam, theta, data, m)
+    if moments is None:
+        moments = cd_conditional_moments(fam, theta, data, m)
+    mean, var_trace = moments
     drifted = theta + eta * mean - center
     return float(np.sum(drifted**2) + eta**2 * var_trace)
+
+
+@dataclass(frozen=True)
+class _Counted:
+    """A sample already counted: ``_data_counts`` reads its ``counts`` as they are."""
+
+    counts: np.ndarray
 
 
 def _expected_sq_series(fam: FiniteExpFamily, box: ParamBox, traj: Trajectory, data, center):
     """E[|theta_{t+1} - center|^2 | theta_t] for every step t of a trajectory.
 
-    ``data`` goes to every step unchanged: a ``DataSample`` carries its state
-    counts, so no step recounts it, while an index array is counted once
-    per non-frozen step.
+    The moments of the steps outside the boundary layer are computed as
+    stacks, in blocks of ``_blocks``, from the data counted once; each step
+    then goes through :func:`expected_sq_distance_after_step`, which guards
+    it and combines its moments.  The layer test is
+    :func:`boundary_layer_contains`'s, bit for bit; a step outside the box
+    is left to that function to refuse.
     """
-    thetas, etas = traj.thetas, traj.etas
+    steps, m = traj.steps, traj.m
+    thetas, etas = traj.thetas[:steps], traj.etas[:steps]
+    reach = np.abs(thetas).max(axis=1)
+    layer = 2.0 * etas * math.sqrt(fam.dim) * fam.stat_bound
+    live = np.flatnonzero((reach <= box.half_width) & ~(box.half_width - reach <= layer))
+    moments = [None] * steps
+    if len(live):
+        counted = _Counted(_data_counts(fam, data))
+        for block in _blocks(len(live), fam.n_states**2):
+            means, traces = cd_conditional_moments(fam, thetas[live[block]], counted, m)
+            for t, mean, trace in zip(live[block], means, traces):
+                moments[t] = (mean, trace)
     return np.array(
         [
-            expected_sq_distance_after_step(fam, box, thetas[t], etas[t], data, traj.m, center)
-            for t in range(traj.steps)
+            expected_sq_distance_after_step(
+                fam, box, thetas[t], etas[t], data, m, center, moments[t]
+            )
+            for t in range(steps)
         ],
         dtype=float,
     )
@@ -254,8 +293,8 @@ class MartingaleReport:
     increment_in: np.ndarray
     active_out: np.ndarray
     active_in: np.ndarray
-    out: BoundCheck | None
-    inside: BoundCheck | None
+    out: BoundCheck
+    inside: BoundCheck
     partial_sum_out: np.ndarray
     partial_sum_in: np.ndarray
     rate_sums: np.ndarray
@@ -276,13 +315,12 @@ def martingale_report(
     data,
     constants: TheoryConstants,
     checks: SampleChecks,
-    exact: bool = True,
 ) -> MartingaleReport:
     """Build both split super-martingales along a trajectory.
 
     Requires a positive drift coefficient; otherwise the ball is undefined
-    and the construction meaningless.  With ``exact`` the conditional means
-    of the increments are computed from transition rows and checked for the
+    and the construction meaningless.  The conditional means of the
+    increments are computed from transition rows and checked for the
     nonpositive orientation on active steps.
     """
     if not constants.hypotheses_met:
@@ -308,16 +346,14 @@ def martingale_report(
     active_in = in_layer | in_ball
     active_out = ~active_in
 
-    out = inside = None
-    if exact:
-        cond_diff = _expected_sq_series(fam, box, traj, data, center) - h2[:steps]
-        zero = np.zeros(steps)
-        out = BoundCheck(
-            cond_diff + etas * drift_out - four_dc2 * etas**2, zero, active_out, checks.passed
-        )
-        inside = BoundCheck(
-            cond_diff - etas * drift_in - four_dc2 * etas**2, zero, active_in, checks.passed
-        )
+    cond_diff = _expected_sq_series(fam, box, traj, data, center) - h2[:steps]
+    zero = np.zeros(steps)
+    out = BoundCheck(
+        cond_diff + etas * drift_out - four_dc2 * etas**2, zero, active_out, checks.passed
+    )
+    inside = BoundCheck(
+        cond_diff - etas * drift_in - four_dc2 * etas**2, zero, active_in, checks.passed
+    )
 
     rate_sums = np.cumsum(etas)
     realized_out = np.abs(increment_out) * active_out

@@ -620,7 +620,10 @@ def _read_cell(cell_dir: Path, task: CellTask) -> Trajectory:
     """The stored trajectory of one cell, refused unless it is the task's.
 
     ``meta.json`` must record the task's n, m, replicate, data seed and
-    burn-in, and ``trajectory.csv`` must hold iterations + 1 rows.
+    burn-in.  ``trajectory.csv`` must hold iterations + 1 rows, every
+    iterate finite and inside the box, and the ``eta_t`` column of the
+    config's schedule: ``repr`` round-trips each rate, so a run that
+    ``cdanneal`` wrote matches it exactly.
     """
     expected = {
         "n": task.n,
@@ -654,6 +657,20 @@ def _read_cell(cell_dir: Path, task: CellTask) -> Trajectory:
             f"{traj_path} has {len(table)} rows, expected iterations + 1 = {steps + 1}"
         )
     thetas, etas = table[:, 2:], table[:, 0]
+    outside = np.flatnonzero(~(np.abs(thetas).max(axis=1) <= task.box.half_width))
+    if outside.size:
+        raise ConfigError(
+            f"{traj_path} row t={outside[0]}: theta is not finite or lies outside the box "
+            f"[-{task.box.half_width!r}, {task.box.half_width!r}]"
+        )
+    rates = task.config.schedule.rates(steps + 1)
+    off_schedule = np.flatnonzero(etas != rates)
+    if off_schedule.size:
+        t = off_schedule[0]
+        raise ConfigError(
+            f"{traj_path} row t={t}: eta_t {float(etas[t])!r} differs from the config's "
+            f"schedule, {float(rates[t])!r}"
+        )
     return Trajectory(
         thetas=thetas,
         etas=etas,

@@ -73,16 +73,21 @@ def _step_rngs(master_seed: int, replicate: int, stream: int):
     # Seeding from ``seq`` spares the OS entropy a keyless Philox would draw.
     bitgen = np.random.Philox(seed=seq)
     rng = np.random.Generator(bitgen)
+    # One state document for every step: the setter copies it into the
+    # generator, so only its counter word changes from step to step.
+    counter = np.zeros(4, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
     def at(step: int) -> np.random.Generator:
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.array([0, step, 0, 0], dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        counter[1] = step
+        bitgen.state = state
         return rng
 
     return at

@@ -273,21 +273,23 @@ class TestCriterion09Occupancy:
             m=ADMISSIBLE_M, steps=100_000, burn_in=50, master_seed=13, replicate=0,
         )
         occ = occupancy_report(traj, consts, checks)
-        mart = martingale_report(
-            fvbm2, small_box, traj, data.items, consts, checks, exact=False
-        )
+        mart = martingale_report(fvbm2, small_box, traj, data.items, consts, checks)
         tail_out = mart.tail_ratio("out")
         tail_in = mart.tail_ratio("in")
         ok = (
             occ.fraction_tail_min >= occ.threshold - 0.05
             and tail_out <= 0.05
             and tail_in <= 0.05
+            and mart.out.violations == 0
+            and mart.inside.violations == 0
         )
         _report(
             9,
             ok,
             f"tail occupancy {occ.fraction_tail_min:.4f} vs threshold {occ.threshold:.4f}"
-            f" - 0.05; normalized partial sums {tail_out:.4f}/{tail_in:.4f} <= 0.05",
+            f" - 0.05; normalized partial sums {tail_out:.4f}/{tail_in:.4f} <= 0.05;"
+            f" exact conditional-mean violations {mart.out.violations}/{mart.inside.violations}"
+            f" over {mart.out.steps}/{mart.inside.steps} active steps",
         )
 
 

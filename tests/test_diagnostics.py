@@ -11,6 +11,7 @@ from cdanneal.diagnostics import (
     SLACK_TOL,
     BoundCheck,
     HypothesesUnmetError,
+    _expected_sq_series,
     bias_bound_grid,
     cd_conditional_moments,
     drift_report,
@@ -20,8 +21,8 @@ from cdanneal.diagnostics import (
     occupancy_report,
     rate_fit,
 )
-from cdanneal.learner import Schedule, run_cd
-from cdanneal.model import ParamBox, mean_parameter, state_probs
+from cdanneal.learner import Schedule, Trajectory, run_cd
+from cdanneal.model import ParamBox, ParamBoxError, build_fvbm, mean_parameter, state_probs
 from cdanneal.oracle import (
     TheoryConstants,
     assemble_constants,
@@ -256,13 +257,84 @@ class TestSampleCountedOnce:
         drift = drift_report(fvbm2, small_box, traj, data, consts, checks)
         mart = martingale_report(fvbm2, small_box, traj, data, consts, checks)
         assert len(calls) == 0
-        # an index array is counted once per non-frozen step of each report
+        # an index array is counted once per report, not once per step
         drift_items = drift_report(fvbm2, small_box, traj, data.items, consts, checks)
         mart_items = martingale_report(fvbm2, small_box, traj, data.items, consts, checks)
-        assert len(calls) == 2 * nonfrozen
+        assert len(calls) == 2
         assert np.array_equal(drift.lhs, drift_items.lhs)
         assert np.array_equal(mart.out.lhs, mart_items.out.lhs)
         assert np.array_equal(mart.inside.lhs, mart_items.inside.lhs)
+
+
+class TestStackedMoments:
+    @pytest.mark.parametrize("m", [1, 2, 16])
+    def test_stack_matches_each_point_alone(self, fvbm2, box3, m):
+        thetas = box3.sample(np.random.default_rng(40 + m), 50)
+        items = sample_iid(fvbm2, np.array([0.5, 1.0, 0.5]), 1000, seed=41).items
+        means, traces = cd_conditional_moments(fvbm2, thetas, items, m)
+        assert means.shape == (50, 3) and traces.shape == (50,)
+        for theta, mean, trace in zip(thetas, means, traces):
+            alone_mean, alone_trace = cd_conditional_moments(fvbm2, theta, items, m)
+            assert isinstance(alone_trace, float)
+            assert np.array_equal(mean, alone_mean)
+            assert trace == alone_trace
+
+    # eta0 = 25 harmonic over 700 steps covers t = 156, 313 and 627, where
+    # eta squared as an array differs from the per-step scalar by 1 ulp.
+    # Centred on a step's drifted mean, its value is eta^2 times the trace, so
+    # that ulp shows.  p = 3 stacks its 8-state kernels in blocks of 256 steps.
+    @pytest.mark.parametrize("n", [100, 10_000])
+    @pytest.mark.parametrize("m", [1, 2, 16])
+    @pytest.mark.parametrize("p, half_width", [(2, 3.0), (3, 1.25)])
+    def test_series_matches_the_per_step_loop(self, p, half_width, m, n):
+        fam = build_fvbm(p)
+        box = ParamBox(half_width, fam.dim)
+        data = sample_iid(fam, np.full(fam.dim, 0.3), n, seed=[42, p, m, n])
+        traj = run_cd(fam, box, Schedule("harmonic", 25.0), data, m=m, steps=700,
+                      master_seed=43, replicate=0)
+        assert not np.any(traj.boundary_hits[[156, 313, 627]])
+        assert np.sum(~traj.boundary_hits[: traj.steps]) > 256
+        center = np.full(fam.dim, 0.1)
+        loop = [
+            expected_sq_distance_after_step(fam, box, traj.thetas[t], traj.etas[t], data.items, m, center)
+            for t in range(traj.steps)
+        ]
+        assert np.array_equal(_expected_sq_series(fam, box, traj, data, center), loop)
+        for t in (156, 313, 627):
+            theta, eta = traj.thetas[t], traj.etas[t]
+            drifted = theta + eta * cd_conditional_moments(fam, theta, data, m)[0]
+            alone = expected_sq_distance_after_step(fam, box, theta, eta, data.items, m, drifted)
+            assert _expected_sq_series(fam, box, traj, data, drifted)[t] == alone
+
+    def test_all_frozen_trajectory_keeps_every_distance(self, fvbm2, small_box):
+        # every iterate sits in the boundary layer, so the sample is never read:
+        # a datum outside the state space goes unnoticed
+        thetas = np.array([[1.25, 0.0, 0.0], [0.1, -1.2, 0.3], [0.7, 0.2, 1.1], [1.0, 1.0, 1.0]])
+        etas = np.full(len(thetas), 0.05)
+        traj = Trajectory(thetas=thetas, etas=etas, boundary_hits=np.ones(len(thetas), dtype=bool),
+                          weighted_avgs=thetas, burn_in=0, m=2)
+        center = np.array([0.2, 0.4, -0.3])
+        series = _expected_sq_series(fvbm2, small_box, traj, np.array([99]), center)
+        assert np.array_equal(series, [float(np.sum((theta - center) ** 2)) for theta in thetas[:-1]])
+
+    @pytest.mark.parametrize(
+        "theta, eta, error",
+        [([1.5, 0.0, 0.0], 0.05, ParamBoxError), ([np.nan, 0.0, 0.0], 0.05, ParamBoxError),
+         ([0.1, 0.2, 0.3], -0.05, ValueError)],
+        ids=["outside_box", "nan", "negative_rate"],
+    )
+    def test_series_refuses_what_one_step_refuses(self, fvbm2, small_box, admissible_setup,
+                                                  theta, eta, error):
+        m, data, consts, checks = admissible_setup
+        center = checks.mle.theta
+        with pytest.raises(error):
+            expected_sq_distance_after_step(fvbm2, small_box, theta, eta, data, m, center)
+        thetas = np.array([[0.1, 0.0, 0.2], theta, [0.0, 0.3, 0.1]])
+        etas = np.array([0.05, eta, 0.05])
+        traj = Trajectory(thetas=thetas, etas=etas, boundary_hits=np.zeros(3, dtype=bool),
+                          weighted_avgs=thetas, burn_in=0, m=m)
+        with pytest.raises(error):
+            _expected_sq_series(fvbm2, small_box, traj, data, center)
 
 
 class TestMartingales:
@@ -322,8 +394,6 @@ class TestMartingales:
             assert check.steps == int(np.sum(active))
             assert check.worst_slack == -float(np.max(check.lhs[active]))
             assert check.violations == int(np.sum(active & (check.lhs > SLACK_TOL)))
-        skipped = martingale_report(fvbm2, small_box, traj, data, consts, checks, exact=False)
-        assert skipped.out is None and skipped.inside is None
 
     def test_refuses_nonpositive_drift_coefficient(self, fvbm2, box3, theta_star):
         bounds = compute_grid_bounds(fvbm2, box3, theta_star, grid_per_axis=5)
@@ -403,7 +473,7 @@ class TestTailWindow:
         h = np.linalg.norm(traj.thetas - checks.mle.theta, axis=1)
         # a ball holding about half the iterates, so both indicators switch
         consts = dataclasses.replace(consts, ball_radius=float(np.median(h)))
-        mart = martingale_report(fvbm2, small_box, traj, data, consts, checks, exact=False)
+        mart = martingale_report(fvbm2, small_box, traj, data, consts, checks)
         assert len(mart.partial_sum_out) == steps
         for which in ("out", "in"):
             sums = getattr(mart, f"partial_sum_{which}")

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import platform
+import re
 import shutil
 import time
 import tracemalloc
@@ -508,6 +509,30 @@ class TestDiagnose:
         with pytest.raises(ConfigError, match="holds no master_seed"):
             diagnose_run(out)
 
+    @pytest.mark.parametrize(
+        "row, column, value, refusal",
+        [
+            (8, 2, "3.5", "row t=7: theta is not finite or lies outside the box"),
+            (8, 4, "-3.0000000000000004", "row t=7: theta is not finite or lies outside the box"),
+            (8, 3, "nan", "row t=7: theta is not finite or lies outside the box"),
+            (12, 1, "-0.1", "row t=11: eta_t -0.1 differs from the config's schedule, 0.1666"),
+            (41, 1, "0.04878048780487806", "row t=40: eta_t 0.04878048780487806 differs"),
+        ],
+        ids=["theta_outside_box", "theta_past_the_face", "theta_nan", "eta_negative", "eta_off_by_one_ulp"],
+    )
+    def test_impossible_trajectory_refused_naming_file_and_row(
+        self, run_dir, tmp_path, row, column, value, refusal
+    ):
+        # the config has half-width 3 and eta_t = 2 / (t + 1); the last rate
+        # 2 / 41 is 0.04878048780487805
+        out = tmp_path / "stored"
+        shutil.copytree(run_dir[0], out)
+        path = out / CELL / "trajectory.csv"
+        _edit_csv(path, row, column, value)
+        with pytest.raises(ConfigError, match=re.escape(f"{path} {refusal}")):
+            diagnose_run(out)
+        assert not (out / "diagnose_summary.json").exists()
+
     def test_run_then_diagnose_changes_no_file(self, tmp_path):
         # half-width 1.25 admits m = 16 with a positive drift coefficient, so
         # the martingale and occupancy checks run as well
@@ -787,6 +812,21 @@ class TestCli:
         assert err.startswith("config error:")
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_iterate_outside_the_box_exits_two_without_traceback(self, tmp_path, capsys):
+        # a stored theta_1 of 1.5 in a half-width 1.25 run used to reach the
+        # exact checks and end in a ParamBoxError traceback
+        config_path = tmp_path / "config.json"
+        config_path.write_text(small_config(seeds=[0], m_values=[16], half_width=1.25).to_json())
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        _edit_csv(out / "cells" / "n60_m16_s0" / "trajectory.csv", 20, 2, "1.5")
+        capsys.readouterr()
+        assert cli.main(["diagnose", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "row t=19: theta is not finite or lies outside the box [-1.25, 1.25]" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["run", "rate"])
     @pytest.mark.parametrize("workers", ["0", "-1"])
