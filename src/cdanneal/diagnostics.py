@@ -454,6 +454,37 @@ def envelope_coverage(values, bound: float) -> float:
     return float(np.mean(np.asarray(values) < bound))
 
 
+def _median_quantiles(values: np.ndarray, quantiles=()) -> list:
+    """``np.median(values, axis=0)``, then ``np.quantile(values, q)`` for each q of ``quantiles``.
+
+    Each value has numpy's bits, from one sort and without the import of
+    ``numpy.ma`` that numpy's functions pay on their first call.  The
+    median is the mean of the middle one or two order statistics.  The
+    "linear" quantile at v = (n - 1) * q interpolates between the order
+    statistics floor(v) and floor(v) + 1 with weight g = v - floor(v), from
+    the upper one when g >= 1/2, as numpy's ``_lerp`` does.  A column
+    holding a NaN gives that NaN, as in numpy.  Quantiles take 1-d
+    ``values`` only.  Equal values may sort in another order than numpy's
+    partition, which can only flip the sign of a zero.
+    """
+    s = np.sort(values, axis=0)
+    n = len(s)
+    mid = s[(n - 1) // 2 : n // 2 + 1]
+    stats = [mid.sum(axis=0) / len(mid)]
+    for q in quantiles:
+        v = (n - 1) * q
+        if v < n - 1:
+            lo = math.floor(v)
+            hi = lo + 1
+        else:  # numpy reads the last order statistic, with g = v + 1
+            lo = hi = -1
+        gamma = v - lo
+        diff = s[hi] - s[lo]
+        stats.append(s[hi] - diff * (1 - gamma) if gamma >= 0.5 else s[lo] + diff * gamma)
+    nan = np.isnan(s[-1])  # a NaN sorts last
+    return [np.where(nan, s[-1], x)[()] for x in stats]
+
+
 def rate_fit(deltas_by_n: dict[int, "np.ndarray | list[float]"]) -> RateFit:
     """Least-squares slope of log median error versus log sample size.
 
@@ -467,7 +498,7 @@ def rate_fit(deltas_by_n: dict[int, "np.ndarray | list[float]"]) -> RateFit:
     for n, g in zip(sizes, groups):
         if g.size < 10:
             raise ValueError(f"need at least 10 replicates per size, got {g.size} at n={int(n)}")
-    medians = np.array([float(np.median(g)) for g in groups])
+    medians = np.array([float(_median_quantiles(g)[0]) for g in groups])
     if np.any(medians <= 0):
         raise ValueError("degenerate tail errors; log fit undefined")
     slope, intercept = np.polyfit(np.log(sizes), np.log(medians), 1)

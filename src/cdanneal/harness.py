@@ -16,7 +16,6 @@ byte identical.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import platform
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -31,6 +30,7 @@ from .diagnostics import (
     DriftReport,
     MartingaleReport,
     OccupancyReport,
+    _median_quantiles,
     bias_bound_grid,
     drift_report,
     envelope_coverage,
@@ -288,6 +288,8 @@ def _map_tasks(tasks: list[CellTask], workers: int) -> list[CellOutcome]:
     workers = min(workers, len(tasks))  # an idle worker would still start and import numpy
     if workers <= 1:
         return [_run_cell(t) for t in tasks]
+    import multiprocessing  # only here: a serial run, and every other subcommand, never loads it
+
     with multiprocessing.Pool(processes=workers) as pool:
         return pool.map(_run_cell, tasks)
 
@@ -497,11 +499,11 @@ def _write_plot_data(out, groups, theta_star, constants, deltas) -> list:
             out / "plots" / f"avg_distance_n{n}_m{m}.csv",
             _csv(["t"] + [f"s{task.replicate}" for task, _ in cell], [ts, *dist]),
         )
-        series.append((f"n={n} m={m}", ts, np.median(dist, axis=0)))
+        series.append((f"n={n} m={m}", ts, _median_quantiles(dist)[0]))
         values = deltas[(n, m)]
         bound = constants[(n, m)].rate_bound(n)
-        q25, q75 = np.quantile(values, 0.25), np.quantile(values, 0.75)
-        rows.append((n, m, np.median(values), q25, q75, bound, envelope_coverage(values, bound)))
+        median, q25, q75 = _median_quantiles(values, (0.25, 0.75))
+        rows.append((n, m, median, q25, q75, bound, envelope_coverage(values, bound)))
     _write(
         out / "plots" / "delta_vs_n.csv",
         _csv(["n", "m", "median_delta", "q25", "q75", "rate_bound", "coverage"], list(zip(*rows))),

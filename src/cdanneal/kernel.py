@@ -57,9 +57,11 @@ class _GibbsTables:
     ``target`` is where the move lands, ``other`` the state that differs
     from it in coordinate j only, and ``scatter`` the flat position
     s * n_states + target of the move in the transition matrix.
+    ``probs(theta)`` is the family's kernel builder, bound to these tables
+    (see :func:`_bind_gibbs_probs`).
     """
 
-    def __init__(self, up: np.ndarray, down: np.ndarray):
+    def __init__(self, fam: FiniteExpFamily, up: np.ndarray, down: np.ndarray):
         n = up.shape[0]
         self.up = up
         self.down = down
@@ -67,6 +69,7 @@ class _GibbsTables:
         self.target = np.stack([up, down], axis=2).reshape(-1)
         self.other = np.stack([down, up], axis=2).reshape(-1)
         self.scatter = np.repeat(np.arange(n) * n, 2 * up.shape[1]) + self.target
+        self.probs = _bind_gibbs_probs(fam, self.target, self.other, self.scatter)
 
 
 _TABLE_CACHE: "weakref.WeakKeyDictionary[FiniteExpFamily, _GibbsTables]" = (
@@ -90,7 +93,7 @@ def _gibbs_tables(fam: FiniteExpFamily) -> _GibbsTables:
     index[code] = np.arange(fam.n_states)
     if np.any(index < 0):
         raise ValueError("Gibbs sampling requires distinct states covering {0,1}^p")
-    tables = _GibbsTables(index[code[:, None] | bits], index[code[:, None] & ~bits])
+    tables = _GibbsTables(fam, index[code[:, None] | bits], index[code[:, None] & ~bits])
     _TABLE_CACHE[fam] = tables
     return tables
 
@@ -119,7 +122,7 @@ def build_gibbs_random_scan(fam: FiniteExpFamily, theta) -> KernelMatrix:
     when it is built alone.
     """
     theta = _check_theta(fam, theta)
-    return KernelMatrix(theta=theta, probs=_gibbs_probs(fam, _gibbs_tables(fam), theta))
+    return KernelMatrix(theta=theta, probs=_gibbs_probs(fam, theta))
 
 
 def _move_probs(fam: FiniteExpFamily, gap: np.ndarray) -> np.ndarray:
@@ -127,21 +130,41 @@ def _move_probs(fam: FiniteExpFamily, gap: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(gap, 0.0)) / (1.0 + np.exp(-np.abs(gap))) / fam.n_coords
 
 
-def _gibbs_probs(fam: FiniteExpFamily, tables: _GibbsTables, theta: np.ndarray) -> np.ndarray:
-    """Transition matrix of :func:`build_gibbs_random_scan` at an already checked theta.
+def _bind_gibbs_probs(
+    fam: FiniteExpFamily, target: np.ndarray, other: np.ndarray, scatter: np.ndarray
+):
+    """``probs(theta)``: the kernel of :func:`build_gibbs_random_scan` at a checked theta.
 
-    ``tables`` is ``_gibbs_tables(fam)``; a caller that builds many kernels
-    of one family looks it up once and skips every check.
+    It makes the operations of ``model._scores`` and :func:`_move_probs`,
+    then scatters the 2p moves of every row, so it gives their bits.  The
+    carrier, the statistic, the move tables, numpy's functions and the
+    constants are bound once per family; a constant as a 0-d array costs
+    numpy less than a Python scalar and gives the same bits.  The builder
+    holds no reference to ``fam``, so the weak table cache can still let a
+    family go.
     """
+    log_carrier, phi = fam.log_carrier, fam.suff_stats
     n = fam.n_states
-    scores = _scores(fam, theta)
-    gap = scores.take(tables.target, axis=-1) - scores.take(tables.other, axis=-1)
-    moves = _move_probs(fam, gap)
-    scatter = tables.scatter
-    if theta.ndim == 2:  # matrix g fills the flat positions from g * n * n on
-        scatter = (np.arange(len(theta))[:, None] * (n * n) + scatter).reshape(-1)
-    probs = np.bincount(scatter, weights=moves.ravel(), minlength=theta.size // fam.dim * n * n)
-    return probs.reshape(theta.shape[:-1] + (n, n))
+    size = n * n
+    p, zero, one = np.array(float(fam.n_coords)), np.array(0.0), np.array(1.0)
+    exp, minimum, absolute, bincount = np.exp, np.minimum, np.abs, np.bincount
+
+    def probs(theta: np.ndarray) -> np.ndarray:
+        scores = log_carrier + (phi @ theta[..., None])[..., 0]
+        gap = scores.take(target, -1) - scores.take(other, -1)
+        moves = exp(minimum(gap, zero)) / (one + exp(-absolute(gap))) / p
+        if theta.ndim == 1:
+            return bincount(scatter, moves, size).reshape(n, n)
+        g = len(theta)  # matrix k of the stack fills the flat positions from k * n * n on
+        flat = (np.arange(g)[:, None] * size + scatter).reshape(-1)
+        return bincount(flat, moves.reshape(-1), g * size).reshape(g, n, n)
+
+    return probs
+
+
+def _gibbs_probs(fam: FiniteExpFamily, theta: np.ndarray) -> np.ndarray:
+    """Transition matrix of :func:`build_gibbs_random_scan` at an already checked theta."""
+    return _gibbs_tables(fam).probs(theta)
 
 
 def _flip_probs(fam: FiniteExpFamily, tables: _GibbsTables, theta: np.ndarray) -> np.ndarray:
@@ -175,12 +198,34 @@ def _check_chain_length(m) -> None:
         raise ValueError("m must be an integer >= 1")
 
 
+def _matrix_power(a: np.ndarray, m: int) -> np.ndarray:
+    """``np.linalg.matrix_power(a, m)`` for a checked m >= 1, bit for bit.
+
+    It makes numpy's products in numpy's order: the m = 2 and 3 shortcuts,
+    then the squarings of a multiplied in from the least significant bit
+    of m.  Each product is one ``np.matmul`` call, without the checks and
+    the ``numpy.linalg.matmul`` wrapper that ``matrix_power`` adds.
+    """
+    matmul = np.matmul
+    if m == 2:
+        return matmul(a, a)
+    if m == 3:
+        return matmul(matmul(a, a), a)
+    z = result = None
+    while m > 0:
+        z = a if z is None else matmul(z, z)
+        m, bit = divmod(m, 2)
+        if bit:
+            result = z if result is None else matmul(result, z)
+    return result
+
+
 def kernel_power(kernel: KernelMatrix, m: int) -> KernelMatrix:
     """Exact m-step transition matrix (of every matrix of a stack)."""
     _check_chain_length(m)
     if m == 1:
         return kernel
-    return KernelMatrix(theta=kernel.theta, probs=np.linalg.matrix_power(kernel.probs, m))
+    return KernelMatrix(theta=kernel.theta, probs=_matrix_power(kernel.probs, m))
 
 
 def stationarity_violation(fam: FiniteExpFamily, kernel: KernelMatrix) -> float:

@@ -5,9 +5,9 @@ the current parameter.  Given that parameter the chains are independent,
 so the endpoint counts are a sum of multinomial draws, one per occupied
 start state s with the rows K^m[s] of the m-step kernel as probabilities.
 Once per run, the learner checks m, keys its generator, counts the data
-and reads what no update changes: the move tables, the occupied start
-states and n.  Once per update it builds the kernel at the current
-parameter, raises it to K^m and draws all endpoints in one call.  The
+and binds what no update changes: the family's kernel builder, the
+occupied start states and n.  Once per update it builds the kernel at the
+current parameter, raises it to K^m and draws all endpoints in one call.  The
 update freezes inside a shrinking layer along the parameter-box boundary,
 which keeps every iterate feasible because a single step of the bounded
 gradient cannot jump across the layer.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _check_chain_length, _gibbs_probs, _gibbs_tables
+from .kernel import _check_chain_length, _gibbs_tables, _matrix_power
 from .model import (
     FiniteExpFamily,
     ParamBox,
@@ -180,21 +180,23 @@ class Trajectory:
 def _cd_sampler(fam: FiniteExpFamily, start: np.ndarray, m: int, rng_at):
     """``gradient(t, theta)``: the CD-m estimate of step t from ``start[s]`` chains at state s.
 
-    What does not depend on theta is read once per run: the move tables,
-    the statistic, the occupied start states with their counts, and n.  A
-    call builds the kernel at theta, raises it to the m-th power and draws
-    the endpoint counts of every chain from ``rng_at(t)`` in one
-    ``Generator.multinomial`` broadcast over the occupied rows of K^m.  The
-    caller has checked m and every theta the guard lets through is finite.
+    What does not depend on theta is bound once per run: the family's
+    kernel builder and the power, the statistic, the occupied start states
+    with their counts, and n.  A call builds the kernel at theta, raises it
+    to the m-th power and draws the endpoint counts of every chain from
+    ``rng_at(t)`` in one ``Generator.multinomial`` broadcast over the
+    occupied rows of K^m.  The caller has checked m and every theta the
+    guard lets through is finite.
     """
-    tables = _gibbs_tables(fam)
+    kernel_at, power = _gibbs_tables(fam).probs, _matrix_power
     phi = fam.suff_stats
-    occupied = np.flatnonzero(start)
+    # When every state starts a chain, the rows are all of K^m: a view, not a copy.
+    occupied = slice(None) if start.all() else np.flatnonzero(start)
     chains = start[occupied]
-    n = start.sum()
+    n = np.array(float(start.sum()))  # a 0-d array divides with the bits of the integer
 
     def gradient(t: int, theta: np.ndarray) -> np.ndarray:
-        km = np.linalg.matrix_power(_gibbs_probs(fam, tables, theta), m)
+        km = power(kernel_at(theta), m)
         end = rng_at(t).multinomial(chains, km[occupied]).sum(axis=0)
         return (start - end) @ phi / n
 

@@ -137,12 +137,13 @@ def zeta_per_pair(fam, thetas, pairs):
 def cd_endpoints(fam, theta, start, m, rng):
     """Endpoint counts of m-step chains, ``start[s]`` of them started at state s.
 
-    K^m comes from the public ``build_gibbs_random_scan`` and
-    ``kernel_power``; the counts are one multinomial draw per occupied row.
+    K^m is ``np.linalg.matrix_power`` of the public ``build_gibbs_random_scan``,
+    not the package's own power; the counts are one multinomial draw per
+    occupied row.
     """
-    from cdanneal.kernel import build_gibbs_random_scan, kernel_power
+    from cdanneal.kernel import build_gibbs_random_scan
 
-    km = kernel_power(build_gibbs_random_scan(fam, theta), m).probs
+    km = np.linalg.matrix_power(build_gibbs_random_scan(fam, theta).probs, m)
     occupied = np.flatnonzero(start)
     return rng.multinomial(start[occupied], km[occupied]).sum(axis=0)
 

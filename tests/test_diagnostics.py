@@ -12,6 +12,7 @@ from cdanneal.diagnostics import (
     BoundCheck,
     HypothesesUnmetError,
     _expected_sq_series,
+    _median_quantiles,
     bias_bound_grid,
     cd_conditional_moments,
     drift_report,
@@ -532,3 +533,36 @@ class TestRateFit:
             rate_fit({10: [0.1] * 10, 100: [0.1] * 10})
         with pytest.raises(ValueError):
             rate_fit({n: [0.1] * 3 for n in (10, 100, 1000)})
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+
+
+class TestMedianQuantiles:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_match_numpy_bit_for_bit(self, scale):
+        # ties and NaNs included; quartiles at every n hit both branches of numpy's lerp
+        rng = np.random.default_rng(int(scale * 1e3))
+        for n in range(1, 40):
+            for case in range(20):
+                values = rng.random(n) * scale
+                if case % 4 == 1:
+                    values = np.round(values, 1)
+                if case % 5 == 2:
+                    values[rng.integers(n)] = np.nan
+                median, q25, q75 = _median_quantiles(values, (0.25, 0.75))
+                assert type(median) is type(q25) is np.float64
+                assert _same_bits(median, np.median(values)), values
+                assert _same_bits(q25, np.quantile(values, 0.25)), values
+                assert _same_bits(q75, np.quantile(values, 0.75)), values
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 20])
+    def test_series_median_matches_numpy_along_axis_0(self, rows):
+        series = np.random.default_rng(rows).random((rows, 50))
+        series[0, 3] = series[-1, 7] = np.nan
+        assert _same_bits(_median_quantiles(series)[0], np.median(series, axis=0))
+
+    def test_nan_propagates(self):
+        assert all(math.isnan(v) for v in _median_quantiles([0.1, np.nan, 0.3], (0.25, 0.75)))

@@ -5,9 +5,13 @@ import hashlib
 import io
 import itertools
 import json
+import multiprocessing
 import platform
 import re
+import os
 import shutil
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -371,7 +375,7 @@ class TestRunExperiment:
             def map(self, fn, items):
                 return [fn(item) for item in items]
 
-        monkeypatch.setattr(harness.multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         monkeypatch.setattr(harness, "_run_cell", str.upper)
         tasks = ["a", "b", "c"][:cells]
         assert harness._map_tasks(tasks, workers) == [t.upper() for t in tasks]
@@ -874,3 +878,37 @@ class TestCli:
             )
             assert code == 0
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
+
+
+# Modules a command pays for only when it uses them: the worker pool, and the
+# masked arrays numpy's median and quantile import on their first call.
+LAZY_MODULES = ("multiprocessing", "numpy.ma")
+
+
+def loaded_lazy_modules(code: str) -> list[str]:
+    """The ``LAZY_MODULES`` a fresh interpreter holds after running ``code``."""
+    src = str(Path(cdanneal.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = f"{code}\nimport sys\nprint(*(m for m in {LAZY_MODULES!r} if m in sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.split()
+
+
+class TestLazyImports:
+    def test_cli_import_loads_neither(self):
+        assert loaded_lazy_modules("import cdanneal.cli") == []
+
+    def test_one_cell_run_loads_neither(self, tmp_path):
+        # four workers for one cell start no pool
+        code = (
+            "from cdanneal.config import RunConfig\n"
+            "from cdanneal.harness import run_experiment\n"
+            "config = RunConfig(n_values=[60], m_values=[1], seeds=[0], iterations=40, burn_in=5,"
+            " grid_per_axis=5)\n"
+            f"run_experiment(config, {str(tmp_path / 'o')!r}, workers=4)"
+        )
+        assert loaded_lazy_modules(code) == []
+        assert (tmp_path / "o" / "plots" / "delta_vs_n.csv").is_file()

@@ -1,7 +1,9 @@
 """Transition-matrix construction, mixing and kernel-distance checks."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from cdanneal.kernel import (
     KernelMatrix,
     _flip_probs,
     _gibbs_tables,
+    _matrix_power,
+    _move_probs,
     _row_distances,
     build_gibbs_random_scan,
     estimate_zeta,
@@ -28,6 +32,7 @@ from cdanneal.model import (
     ParamBox,
     build_fvbm,
     family_from_json,
+    _scores,
     lattice_neighbor_pairs,
     state_probs,
 )
@@ -186,6 +191,50 @@ class TestFlipProbabilities:
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
+def _scatter_kernel(fam, theta):
+    """The kernel expression of 0.14.0: the package's scores and move probabilities, one scatter."""
+    tables = _gibbs_tables(fam)
+    n = fam.n_states
+    scores = _scores(fam, theta)
+    gap = scores.take(tables.target, axis=-1) - scores.take(tables.other, axis=-1)
+    moves = _move_probs(fam, gap)
+    scatter = tables.scatter
+    if theta.ndim == 2:
+        scatter = (np.arange(len(theta))[:, None] * (n * n) + scatter).reshape(-1)
+    probs = np.bincount(scatter, weights=moves.ravel(), minlength=theta.size // fam.dim * n * n)
+    return probs.reshape(theta.shape[:-1] + (n, n))
+
+
+BUILDER_FAMILIES = {f"fvbm{p}": build_fvbm(p) for p in (1, 2, 3, 4)} | {"carrier": _carrier_family()}
+
+
+class TestBoundBuilder:
+    @pytest.mark.parametrize("name", BUILDER_FAMILIES)
+    def test_keeps_the_bits_of_the_scatter_expression(self, name):
+        fam = BUILDER_FAMILIES[name]
+        rng = np.random.default_rng(600)
+        thetas = np.concatenate(
+            [
+                rng.uniform(-3, 3, size=(30, fam.dim)),
+                rng.choice([-30.0, 30.0], size=(6, fam.dim)),
+                [np.full(fam.dim, 30.0), np.full(fam.dim, -30.0)],
+            ]
+        )
+        build = _gibbs_tables(fam).probs
+        np.testing.assert_array_equal(build(thetas), _scatter_kernel(fam, thetas))
+        for theta in thetas:
+            np.testing.assert_array_equal(build(theta), _scatter_kernel(fam, theta))
+
+    def test_table_cache_lets_a_family_go(self):
+        # the bound builder holds the family's arrays, never the family
+        fam = build_fvbm(2)
+        assert _gibbs_tables(fam).probs(np.zeros(fam.dim)).shape == (4, 4)
+        gone = weakref.ref(fam)
+        del fam
+        gc.collect()
+        assert gone() is None
+
+
 class TestKernelPower:
     def test_power_one_is_identity(self, fvbm2):
         kernel = build_gibbs_random_scan(fvbm2, [0.3, -0.2, 0.5])
@@ -207,6 +256,18 @@ class TestKernelPower:
         pi = state_probs(fvbm2, theta_star)
         tv = 0.5 * np.abs(kernel.probs - pi).sum(axis=1).max()
         assert tv < 1e-8
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_power_is_numpys_bit_for_bit(self, p):
+        # the same np.matmul products in numpy's order, alone and on a stack
+        fam = build_fvbm(p)
+        thetas = np.random.default_rng(700 + p).uniform(-3, 3, size=(5, fam.dim))
+        stack = build_gibbs_random_scan(fam, thetas).probs
+        for m in range(1, 65):
+            np.testing.assert_array_equal(_matrix_power(stack, m), np.linalg.matrix_power(stack, m))
+            np.testing.assert_array_equal(
+                _matrix_power(stack[2], m), np.linalg.matrix_power(stack[2], m)
+            )
 
     @pytest.mark.parametrize("m", [0, -2])
     def test_nonpositive_power_rejected(self, fvbm2, m):

@@ -381,7 +381,7 @@ class TestRunCdRng:
         _assert_replays_reference(fvbm2, data, start, 3, 17, 200)
 
     @pytest.mark.parametrize("as_items", [False, True], ids=["DataSample", "index_array"])
-    @pytest.mark.parametrize("m", [1, 2, 3, 16])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 16])
     def test_every_step_replays_the_public_reference(self, fvbm2, theta_star, m, as_items):
         # the per-run sampler computes each update with the same float
         # operations and draws as the validating public kernel entries
@@ -389,6 +389,14 @@ class TestRunCdRng:
         start = np.bincount(sample.items, minlength=fvbm2.n_states)
         data = sample.items if as_items else sample
         _assert_replays_reference(fvbm2, data, start, m, 29, 120)
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_replays_with_an_empty_start_state(self, fvbm2, m):
+        # state 2 starts no chain, so the draw reads a subset of the rows of K^m
+        items = np.array([0, 0, 3, 1, 3, 0])
+        start = np.bincount(items, minlength=fvbm2.n_states)
+        assert start[2] == 0
+        _assert_replays_reference(fvbm2, items, start, m, 31, 150)
 
     def test_per_run_invariants_built_once(self, fvbm2, theta_star, monkeypatch):
         # no update re-checks theta or looks the move tables up again
