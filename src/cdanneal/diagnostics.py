@@ -45,6 +45,8 @@ __all__ = [
     "rate_fit",
 ]
 
+_add_reduce = np.add.reduce
+
 SLACK_TOL = 1e-10
 # A finite run stands in for a limit by its trailing TAIL_WINDOW share; the
 # occupancy surrogate may fall OCCUPANCY_TOL short of its threshold.
@@ -103,12 +105,13 @@ def expected_sq_distance_after_step(
     theta = np.asarray(theta, dtype=float)
     center = np.asarray(center, dtype=float)
     if boundary_layer_contains(box, theta, eta, fam.stat_bound, fam.dim):
-        return float(np.sum((theta - center) ** 2))
+        x = theta - center
+        return float(_add_reduce(x * x))
     if moments is None:
         moments = cd_conditional_moments(fam, theta, data, m)
     mean, var_trace = moments
     drifted = theta + eta * mean - center
-    return float(np.sum(drifted**2) + eta**2 * var_trace)
+    return float(_add_reduce(drifted * drifted) + eta**2 * var_trace)
 
 
 @dataclass(frozen=True)
@@ -121,31 +124,28 @@ class _Counted:
 def _expected_sq_series(fam: FiniteExpFamily, box: ParamBox, traj: Trajectory, data, center):
     """E[|theta_{t+1} - center|^2 | theta_t] for every step t of a trajectory.
 
-    The moments of the steps outside the boundary layer are computed as
-    stacks, in blocks of ``_blocks``, from the data counted once; each step
-    then goes through :func:`expected_sq_distance_after_step`, which guards
-    it and combines its moments.  The layer test is
-    :func:`boundary_layer_contains`'s, bit for bit; a step outside the box
-    is left to that function to refuse.
+    The moments of the steps outside the boundary layer, which
+    :func:`boundary_layer_contains` finds for the whole stack (and so
+    refuses any step it refuses alone), are computed as stacks, in blocks
+    of ``_blocks``, from the data counted once; each step then goes through
+    :func:`expected_sq_distance_after_step`, which guards it and combines
+    its moments.
     """
     steps, m = traj.steps, traj.m
     thetas, etas = traj.thetas[:steps], traj.etas[:steps]
-    reach = np.abs(thetas).max(axis=1)
-    layer = 2.0 * etas * math.sqrt(fam.dim) * fam.stat_bound
-    live = np.flatnonzero((reach <= box.half_width) & ~(box.half_width - reach <= layer))
+    center = np.asarray(center, dtype=float)
+    live = np.flatnonzero(~boundary_layer_contains(box, thetas, etas, fam.stat_bound, fam.dim))
     moments = [None] * steps
     if len(live):
         counted = _Counted(_data_counts(fam, data))
         for block in _blocks(len(live), fam.n_states**2):
             means, traces = cd_conditional_moments(fam, thetas[live[block]], counted, m)
-            for t, mean, trace in zip(live[block], means, traces):
+            for t, mean, trace in zip(live[block].tolist(), means, traces):
                 moments[t] = (mean, trace)
     return np.array(
         [
-            expected_sq_distance_after_step(
-                fam, box, thetas[t], etas[t], data, m, center, moments[t]
-            )
-            for t in range(steps)
+            expected_sq_distance_after_step(fam, box, theta, eta, data, m, center, step_moments)
+            for theta, eta, step_moments in zip(thetas, etas.tolist(), moments)
         ],
         dtype=float,
     )

@@ -53,6 +53,7 @@ from .model import (
     FiniteExpFamily,
     ParamBox,
     _in_blocks,
+    boundary_layer_contains,
     identifiability_report,
     mean_parameter,
 )
@@ -625,7 +626,10 @@ def _read_cell(cell_dir: Path, task: CellTask) -> Trajectory:
     burn-in.  ``trajectory.csv`` must hold iterations + 1 rows, every
     iterate finite and inside the box, and the ``eta_t`` column of the
     config's schedule: ``repr`` round-trips each rate, so a run that
-    ``cdanneal`` wrote matches it exactly.
+    ``cdanneal`` wrote matches it exactly.  Its ``boundary_hit`` column must
+    be what :func:`boundary_layer_contains` gives at each row's theta_t and
+    eta_t, as 0 or 1, and a frozen step must leave theta unchanged, bit for
+    bit.
     """
     expected = {
         "n": task.n,
@@ -673,10 +677,26 @@ def _read_cell(cell_dir: Path, task: CellTask) -> Trajectory:
             f"{traj_path} row t={t}: eta_t {float(etas[t])!r} differs from the config's "
             f"schedule, {float(rates[t])!r}"
         )
+    hits = boundary_layer_contains(task.box, thetas, etas, task.fam.stat_bound, task.fam.dim)
+    forged = np.flatnonzero(table[:, 1] != hits)
+    if forged.size:
+        t = forged[0]
+        raise ConfigError(
+            f"{traj_path} row t={t}: boundary_hit {table[t, 1]:g} disagrees with the "
+            f"boundary-layer guard, which gives {int(hits[t])} at that row's theta_t and eta_t"
+        )
+    bits = thetas.view(np.uint64)
+    moved = np.flatnonzero(hits[:-1] & np.any(bits[1:] != bits[:-1], axis=1))
+    if moved.size:
+        t = moved[0]
+        raise ConfigError(
+            f"{traj_path} row t={t}: theta moves at a frozen step (boundary_hit 1); "
+            f"row t={t + 1} must repeat it bit for bit"
+        )
     return Trajectory(
         thetas=thetas,
         etas=etas,
-        boundary_hits=table[:, 1].astype(bool),
+        boundary_hits=hits,
         weighted_avgs=weighted_average_series(thetas, etas, burn_in),
         burn_in=burn_in,
         m=task.m,

@@ -345,7 +345,10 @@ def family_from_json(doc: dict) -> FiniteExpFamily:
     return FiniteExpFamily(states=states, suff_stats=phi, log_carrier=logc)
 
 
-def boundary_layer_contains(box: ParamBox, theta, eta_t: float, stat_bound: float, dim: int) -> bool:
+_abs, _max_reduce = np.abs, np.maximum.reduce
+
+
+def boundary_layer_contains(box: ParamBox, theta, eta_t, stat_bound: float, dim: int):
     """Whether theta sits within 2 * eta_t * sqrt(dim) * stat_bound of the boundary.
 
     This is the shrinking layer inside which the guarded update freezes; a
@@ -354,11 +357,23 @@ def boundary_layer_contains(box: ParamBox, theta, eta_t: float, stat_bound: floa
     The distance to the boundary is half_width - max |theta_i|, bit for bit
     :meth:`ParamBox.boundary_distance`, because rounding hw - x keeps its
     order in x.
+
+    One point (d,) with a scalar rate gives a bool; a stack (T, d) with
+    rates (T,) gives a bool array (T,), each row the bits it gets alone.  A
+    negative rate raises ``ValueError`` and an iterate outside the box (or
+    not finite) ``ParamBoxError``; in a stack, the first such row raises
+    what it raises alone.
     """
-    if eta_t < 0:
+    reach = _max_reduce(_abs(theta), axis=-1)
+    if reach.ndim:
+        eta_t = np.broadcast_to(np.asarray(eta_t, dtype=float), reach.shape)
+        refused = (eta_t < 0) | ~(reach <= box.half_width)
+        if refused.any():  # the first refused row raises what it raises alone
+            t = np.argmax(refused)
+            boundary_layer_contains(box, reach[t : t + 1], eta_t[t], stat_bound, dim)
+    elif eta_t < 0:
         raise ValueError("eta_t must be nonnegative")
-    reach = float(np.abs(np.asarray(theta, dtype=float)).max())
-    if not reach <= box.half_width:
+    elif not reach <= box.half_width:
         raise ParamBoxError("theta lies outside the parameter box")
     return box.half_width - reach <= 2.0 * eta_t * math.sqrt(dim) * stat_bound
 

@@ -338,6 +338,68 @@ class TestStackedMoments:
             _expected_sq_series(fvbm2, small_box, traj, data, center)
 
 
+def _expected_sq_0_15(fam, box, theta, eta, data, m, center, moments=None):
+    """0.15.0's guard and combine, copied: the bits every later version must keep."""
+    theta = np.asarray(theta, dtype=float)
+    center = np.asarray(center, dtype=float)
+    if eta < 0:
+        raise ValueError("eta_t must be nonnegative")
+    reach = float(np.abs(np.asarray(theta, dtype=float)).max())
+    if not reach <= box.half_width:
+        raise ParamBoxError("theta lies outside the parameter box")
+    if box.half_width - reach <= 2.0 * eta * math.sqrt(fam.dim) * fam.stat_bound:
+        return float(np.sum((theta - center) ** 2))
+    if moments is None:
+        moments = cd_conditional_moments(fam, theta, data, m)
+    mean, var_trace = moments
+    drifted = theta + eta * mean - center
+    return float(np.sum(drifted**2) + eta**2 * var_trace)
+
+
+class TestCombinePinned:
+    # p = 4 has d = 10, past the 8 terms from which numpy's pairwise sum unrolls
+    @pytest.mark.parametrize("m", [1, 16])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_keeps_the_bits_of_0_15(self, p, m):
+        fam = build_fvbm(p)
+        box = ParamBox(1.25, fam.dim)
+        data = sample_iid(fam, np.full(fam.dim, 0.2), 500, seed=[61, p, m])
+        rng = np.random.default_rng([62, p, m])
+        thetas = box.sample(rng, 40)
+        # rates of the eta0 = 25 harmonic schedule, those of t = 156, 313 and
+        # 627 among them (at least 0.036, so a layer at least 0.07 deep); the
+        # last four rows sit in the layer, one on a box face
+        rates = Schedule("harmonic", 25.0).rates(700)
+        etas = rates[np.concatenate([rng.choice(700, 37, replace=False), [156, 313, 627]])]
+        thetas[-4:, 0] = [1.25, -1.2, 1.22, -1.24]
+        centers = [np.full(fam.dim, 0.1), rng.uniform(-1.25, 1.25, fam.dim)]
+        means, traces = cd_conditional_moments(fam, thetas, data, m)
+        frozen = 0
+        for theta, eta, mean, trace in zip(thetas, etas, means, traces):
+            for center in centers:
+                want = _expected_sq_0_15(fam, box, theta, eta, data.items, m, center)
+                frozen += want == float(np.sum((theta - center) ** 2))
+                for rate in (eta, float(eta)):
+                    args = (fam, box, theta, rate, data.items, m, center)
+                    got = expected_sq_distance_after_step(*args)
+                    given = expected_sq_distance_after_step(*args, (mean, trace))
+                    assert isinstance(got, float) and got == want and given == want
+        assert frozen >= 2 * 4
+
+    def test_series_keeps_the_bits_of_0_15(self, fvbm2, admissible_setup):
+        m, data, _, checks = admissible_setup
+        box = ParamBox(1.25, fvbm2.dim)
+        traj = run_cd(fvbm2, box, Schedule("harmonic", 25.0), data, m=m, steps=700,
+                      master_seed=63, replicate=0)
+        assert 0 < np.sum(traj.boundary_hits[: traj.steps]) < traj.steps
+        center = checks.mle.theta
+        want = [
+            _expected_sq_0_15(fvbm2, box, theta, eta, data.items, m, center)
+            for theta, eta in zip(traj.thetas[: traj.steps], traj.etas[: traj.steps])
+        ]
+        assert np.array_equal(_expected_sq_series(fvbm2, box, traj, data, center), want)
+
+
 class TestMartingales:
     def test_increments_and_conditional_means(self, fvbm2, small_box, theta_star, small_bounds):
         m, n = 16, 1000

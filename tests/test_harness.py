@@ -61,6 +61,9 @@ META_KEYS = {
     "n", "m", "replicate", "data_seed", "burn_in",
     "delta_tail_max", "delta_final", "boundary_hit_count", "tail_boundary_hits", "mle", "sample_checks",
 }
+# How diagnose refuses a boundary_hit the guard contradicts, and a frozen step that moves.
+GUARD_SAYS = "disagrees with the boundary-layer guard, which gives"
+FROZEN_MOVES = "theta moves at a frozen step (boundary_hit 1);"
 # The fields of every diagnostics.json record; occupancy adds OCCUPANCY_KEYS when it runs.
 RECORD_KEYS = {"steps", "violations", "worst_slack", "hypotheses_met"}
 OCCUPANCY_KEYS = {"threshold", "fraction_full", "fraction_tail_min"}
@@ -220,6 +223,18 @@ def recipe():
     with contextlib.redirect_stdout(io.StringIO()):
         exec(compile(block, "README.md recipe", "exec"), namespace)
     return namespace
+
+
+@pytest.fixture(scope="module")
+def long_chain_dir(tmp_path_factory):
+    """One cell like the benchmark's long chain: half-width 1.25, n = 1000, m = 16, 1000 steps."""
+    out = tmp_path_factory.mktemp("long_chain")
+    config = small_config(
+        half_width=1.25, n_values=[1000], m_values=[16], seeds=[0], iterations=1000, burn_in=50,
+        schedule=Schedule("harmonic", 25.0), grid_per_axis=3,
+    )
+    run_experiment(config, out, master_seed=0)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -537,6 +552,35 @@ class TestDiagnose:
             diagnose_run(out)
         assert not (out / "diagnose_summary.json").exists()
 
+    # columns of trajectory.csv: t, eta_t, theta_1, theta_2, theta_3, boundary_hit
+    @pytest.mark.parametrize(
+        "t, column, value, refusal",
+        [
+            (246, 5, "1", f"row t=246: boundary_hit 1 {GUARD_SAYS} 0"),
+            (246, 5, "2", f"row t=246: boundary_hit 2 {GUARD_SAYS} 0"),
+            (10, 5, "0", f"row t=10: boundary_hit 0 {GUARD_SAYS} 1"),
+            (30, 2, "0.01", f"row t=29: {FROZEN_MOVES} row t=30 must repeat it"),
+            (1, 2, "-0.0", f"row t=0: {FROZEN_MOVES} row t=1 must repeat it"),
+        ],
+        ids=["hit_on_a_live_row", "hit_of_two", "live_row_at_a_frozen_step", "frozen_row_moved",
+             "frozen_row_changes_sign_of_zero"],
+    )
+    def test_stored_step_the_guard_contradicts_is_refused(
+        self, long_chain_dir, tmp_path, t, column, value, refusal
+    ):
+        # eta0 = 25 over half-width 1.25 freezes every step before t = 69, so
+        # theta stays 0.0 there; t = 246 is a live step
+        out = tmp_path / "stored"
+        shutil.copytree(long_chain_dir, out)
+        path = out / "cells" / "n1000_m16_s0" / "trajectory.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert [rows[1 + s][5] for s in (0, 10, 29, 30, 68, 69, 246)] == ["1"] * 5 + ["0", "0"]
+        assert rows[1 + t][2] == "0.0" or column == 5
+        _edit_csv(path, 1 + t, column, value)
+        with pytest.raises(ConfigError, match=re.escape(f"{path} {refusal}")):
+            diagnose_run(out)
+        assert not (out / "diagnose_summary.json").exists()
+
     def test_run_then_diagnose_changes_no_file(self, tmp_path):
         # half-width 1.25 admits m = 16 with a positive drift coefficient, so
         # the martingale and occupancy checks run as well
@@ -830,6 +874,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "row t=19: theta is not finite or lies outside the box [-1.25, 1.25]" in err
+        assert "Traceback" not in err
+
+    def test_forged_boundary_hit_exits_two_without_traceback(self, tmp_path, capsys):
+        # a boundary_hit of 1 at the live step t = 40 used to pass, and drift.csv's
+        # rhs at that row was rebuilt from it (0.2257 in place of 0.2419)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(small_config(
+            half_width=1.25, n_values=[1000], m_values=[16], seeds=[0], iterations=100,
+            burn_in=10, schedule=Schedule("harmonic", 1.0),
+        ).to_json())
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        path = out / "cells" / "n1000_m16_s0" / "trajectory.csv"
+        assert path.read_text().splitlines()[41].endswith(",0")
+        _edit_csv(path, 41, 5, "1")
+        capsys.readouterr()
+        assert cli.main(["diagnose", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "row t=40: boundary_hit 1 disagrees with the boundary-layer guard" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["run", "rate"])

@@ -273,32 +273,61 @@ class TestBoundaryLayer:
 
 
 class TestGuardReduction:
-    """The one-reduction guard against the distance-based reference."""
+    """The one-reduction guard, of a point and of a stack, against the distance-based reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(
         data=st.data(),
         dim=st.integers(1, 6),
+        rows=st.integers(1, 8),
         half_width=st.floats(0.05, 50.0),
-        eta=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
         stat_bound=st.floats(0.1, 4.0),
-        where=st.sampled_from(["inside", "layer_edge", "box_face"]),
     )
-    def test_matches_boundary_distance(self, data, dim, half_width, eta, stat_bound, where):
+    def test_matches_boundary_distance(self, data, dim, rows, half_width, stat_bound):
         box = ParamBox(half_width, dim)
-        layer = 2 * eta * np.sqrt(dim) * stat_bound
-        if where == "inside":
-            reach = half_width * data.draw(st.floats(0.0, 1.0))
-        elif where == "layer_edge":
-            reach = max(half_width - layer, 0.0)
-        else:
-            reach = half_width
-        # every entry within reach; one entry exactly +-reach, so ties bind
-        fractions = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
-        theta = np.array(fractions) * reach
-        theta[data.draw(st.integers(0, dim - 1))] = data.draw(st.sampled_from([-1.0, 1.0])) * reach
-        expected = box.boundary_distance(theta) <= layer
-        assert boundary_layer_contains(box, theta, eta, stat_bound, dim) == expected
+        thetas, etas = np.empty((rows, dim)), np.empty(rows)
+        for t in range(rows):
+            eta = etas[t] = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+            layer = 2 * eta * np.sqrt(dim) * stat_bound
+            where = data.draw(st.sampled_from(["inside", "layer_edge", "box_face"]))
+            if where == "inside":
+                reach = half_width * data.draw(st.floats(0.0, 1.0))
+            elif where == "layer_edge":
+                reach = max(half_width - layer, 0.0)
+            else:
+                reach = half_width
+            # every entry within reach; one entry exactly +-reach, so ties bind
+            fractions = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
+            thetas[t] = np.array(fractions) * reach
+            sign = data.draw(st.sampled_from([-1.0, 1.0]))
+            thetas[t, data.draw(st.integers(0, dim - 1))] = sign * reach
+        expected = [
+            box.boundary_distance(theta) <= 2 * eta * np.sqrt(dim) * stat_bound
+            for theta, eta in zip(thetas, etas)
+        ]
+        alone = [boundary_layer_contains(box, th, eta, stat_bound, dim) for th, eta in zip(thetas, etas)]
+        stacked = boundary_layer_contains(box, thetas, etas, stat_bound, dim)
+        assert stacked.dtype == bool and stacked.shape == (rows,)
+        assert alone == expected
+        assert stacked.tolist() == expected
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_stack_keeps_the_scalar_bits_at_one_ulp_from_the_layer_edge(self, dim):
+        # each row's distance to the boundary is the scalar's layer depth, or
+        # one ulp either side of it, so a layer rounded differently shows
+        rng = np.random.default_rng([29, dim])
+        boxes = [(1.25, 1.0), (3.0, 1.0), (rng.uniform(0.05, 50), rng.uniform(0.1, 4))]
+        for half_width, stat_bound in boxes:
+            box = ParamBox(half_width, dim)
+            etas = half_width / (2 * math.sqrt(dim) * stat_bound) * rng.uniform(0.0, 1.0, 600)
+            reach = half_width - 2.0 * etas * math.sqrt(dim) * stat_bound
+            reach = np.nextafter(reach, reach + rng.choice([-1.0, 0.0, 1.0], len(reach)))
+            thetas = rng.uniform(-1.0, 1.0, (len(etas), dim)) * reach[:, None]
+            faces = rng.integers(0, dim, len(etas))
+            thetas[np.arange(len(etas)), faces] = reach * rng.choice([-1, 1], len(etas))
+            alone = [boundary_layer_contains(box, th, eta, stat_bound, dim) for th, eta in zip(thetas, etas)]
+            assert 0 < sum(alone) < len(alone)
+            assert boundary_layer_contains(box, thetas, etas, stat_bound, dim).tolist() == alone
 
     @settings(max_examples=100, deadline=None)
     @given(dim=st.integers(1, 6), half_width=st.floats(0.05, 50.0), excess=st.floats(1e-9, 10.0))
@@ -310,6 +339,31 @@ class TestGuardReduction:
             box.boundary_distance(theta)
         with pytest.raises(ParamBoxError):
             boundary_layer_contains(box, theta, 0.1, 1.0, dim)
+        with pytest.raises(ParamBoxError):
+            boundary_layer_contains(box, np.stack([np.zeros(dim), theta]), [0.1, 0.1], 1.0, dim)
+
+    # each stack holds two refused rows; the first raises what it raises alone
+    @pytest.mark.parametrize(
+        "first, second, error",
+        [
+            (([3.5, 0.0, 0.0], 0.1), ([0.0, 0.0, 0.0], -0.1), ParamBoxError),
+            (([0.0, np.nan, 0.0], 0.1), ([0.0, 0.0, 0.0], -0.1), ParamBoxError),
+            (([0.0, 0.0, -np.inf], 0.1), ([0.0, 0.0, 0.0], -0.1), ParamBoxError),
+            (([0.0, 0.0, 0.0], -0.1), ([3.5, 0.0, 0.0], 0.1), ValueError),
+            (([3.5, 0.0, 0.0], -0.1), ([0.0, np.nan, 0.0], 0.1), ValueError),
+        ],
+        ids=["outside_box", "nan", "infinite", "negative_rate", "negative_rate_outside_the_box"],
+    )
+    def test_stack_raises_what_its_first_refused_row_raises(self, box3, first, second, error):
+        (theta, eta), (later_theta, later_eta) = first, second
+        with pytest.raises(error) as alone:
+            boundary_layer_contains(box3, np.array(theta), eta, 1.0, 3)
+        assert type(alone.value) is error
+        thetas = np.array([[0.1, 0.2, 0.3], theta, [2.9, 0.0, 0.0], later_theta])
+        etas = np.array([0.05, eta, 0.05, later_eta])
+        with pytest.raises(error) as stacked:
+            boundary_layer_contains(box3, thetas, etas, 1.0, 3)
+        assert type(stacked.value) is error and str(stacked.value) == str(alone.value)
 
     def test_contains_rejects_nan_and_accepts_the_boundary(self, box3):
         assert box3.contains(np.array([3.0, -3.0, 0.0]))
