@@ -4,13 +4,14 @@ A run is a grid of cells (sample size, chain steps, replicate seed).  Each
 cell samples data, runs the guarded CD iteration, measures the tail error
 of the weighted average and, when requested, re-verifies the per-step
 drift, super-martingale and bias bounds exactly.  ``run`` and ``diagnose``
-share one pipeline: ``_prepare_cells`` builds every cell's inputs from the
-configuration (the data once per sample size and replicate, the sample
-checks and their MLE once per cell through ``oracle.check_sample``) and
-``evaluate_cell`` checks a trajectory, whether it was just computed or read
-back from disk.  All outputs are plain CSV and JSON written with round-trip
-float formatting, so a rerun with the same configuration and master seed is
-byte identical.
+share one pipeline.  ``_prepare_cells`` settles everything a cell's sample
+decides: the data once per sample size and replicate, then, with one stat
+table per chain length m, the sample checks (their MLE included, through
+``oracle.check_sample``) and the bias grid once per (sample, m).
+``evaluate_cell`` runs the checks that read a trajectory, whether it was
+just computed or read back from disk.  All outputs are plain CSV and JSON
+written with round-trip float formatting, so a rerun with the same
+configuration and master seed is byte identical.
 """
 
 from __future__ import annotations
@@ -124,25 +125,24 @@ def _write(path: Path, text: str) -> None:
 
 @dataclass
 class CellTask:
-    """One cell's inputs.
+    """One cell's inputs, everything its sample decides included.
 
     Run-wide settings are read from ``config``, the true parameter and the
-    data seed from ``data``.
+    data seed from ``data``.  ``checks`` is None when the sample has no MLE,
+    ``bias`` is None unless ``_skip_reasons`` lets the bias check run.
     """
 
     config: RunConfig
     master_seed: int
     fam: FiniteExpFamily
     box: ParamBox
-    grid: np.ndarray
-    stat_table: np.ndarray
-    mean_table: np.ndarray
     n: int
     m: int
     replicate: int
     data: DataSample
     constants: TheoryConstants
     checks: SampleChecks | None
+    bias: BiasGridReport | None = None
 
     @property
     def label(self) -> str:
@@ -177,9 +177,10 @@ def _constants_table(config: RunConfig, fam, box, bounds) -> dict:
 def _prepare_cells(config: RunConfig, master_seed: int) -> tuple[list[CellTask], dict]:
     """Every cell's inputs, in run order, and the (n, m) constants table.
 
-    The grid tables are shared by all cells and the data by the cells of one
-    (n, replicate); each cell's sample checks, its MLE included, come from
-    ``check_sample``.  A cell whose sample has no MLE gets no checks.
+    The data are drawn once per (n, replicate).  Then each m's stat table
+    serves every sample, for ``check_sample`` and, where the bias check
+    runs, ``bias_bound_grid``, and is dropped before the next m's is built.
+    A cell whose sample has no MLE gets no checks.
     """
     fam = config.build_family()
     box = config.build_box()
@@ -187,37 +188,32 @@ def _prepare_cells(config: RunConfig, master_seed: int) -> tuple[list[CellTask],
     grid = box.grid(config.grid_per_axis)
     bounds = compute_grid_bounds(fam, box, theta_star, config.grid_per_axis)
     mean_table = _in_blocks(fam, grid, lambda t: mean_parameter(fam, t))
-    stat_tables = {int(m): m_step_stat_table(fam, grid, int(m)) for m in config.m_values}
     constants = _constants_table(config, fam, box, bounds)
+    samples = [
+        (n, rep, sample_iid(fam, theta_star, n, seed=[master_seed, rep, n, RNG_STREAM_DATA]))
+        for n in sorted(int(v) for v in config.n_values)
+        for rep in sorted(int(s) for s in config.seeds)
+    ]
 
     tasks = []
-    for n in sorted(int(v) for v in config.n_values):
-        for rep in sorted(int(s) for s in config.seeds):
-            data = sample_iid(fam, theta_star, n, seed=[master_seed, rep, n, RNG_STREAM_DATA])
-            for m in sorted(int(v) for v in config.m_values):
-                try:
-                    checks = check_sample(
-                        fam, box, data, theta_star, m, config.gamma, grid, stat_table=stat_tables[m]
-                    )
-                except MleNonexistenceError:
-                    checks = None
-                tasks.append(
-                    CellTask(
-                        config=config,
-                        master_seed=master_seed,
-                        fam=fam,
-                        box=box,
-                        grid=grid,
-                        stat_table=stat_tables[m],
-                        mean_table=mean_table,
-                        n=n,
-                        m=m,
-                        replicate=rep,
-                        data=data,
-                        constants=constants[(n, m)],
-                        checks=checks,
-                    )
+    for m in sorted(int(v) for v in config.m_values):
+        stat_table = m_step_stat_table(fam, grid, m)
+        for n, rep, data in samples:
+            try:
+                checks = check_sample(
+                    fam, box, data, theta_star, m, config.gamma, grid, stat_table=stat_table
                 )
+            except MleNonexistenceError:
+                checks = None
+            task = CellTask(config, master_seed, fam, box, n, m, rep, data, constants[(n, m)], checks)
+            if _skip_reasons(task)["bias_bound"] is None:
+                task.bias = bias_bound_grid(
+                    fam, data, task.constants, checks, grid,
+                    stat_table=stat_table, mean_table=mean_table,
+                )
+            tasks.append(task)
+        del stat_table
+    tasks.sort(key=lambda task: (task.n, task.replicate, task.m))
     return tasks, constants
 
 
@@ -242,17 +238,15 @@ def _skip_reasons(task: CellTask) -> dict:
 
 
 def evaluate_cell(task: CellTask, traj: Trajectory) -> CellOutcome:
-    """Tail error and every exact per-step check that ``_skip_reasons`` leaves to run."""
+    """Tail error and every exact per-step check that ``_skip_reasons`` leaves to run.
+
+    The bias report needs no trajectory; it comes with the task.
+    """
     reasons = _skip_reasons(task)
     fam, box, data, constants, checks = task.fam, task.box, task.data, task.constants, task.checks
-    drift = mart = occ = bias = None
+    drift = mart = occ = None
     if reasons["drift"] is None:
         drift = drift_report(fam, box, traj, data, constants, checks)
-    if reasons["bias_bound"] is None:
-        bias = bias_bound_grid(
-            fam, data, constants, checks, task.grid,
-            stat_table=task.stat_table, mean_table=task.mean_table,
-        )
     if reasons["martingale_outside_ball"] is None:
         mart = martingale_report(fam, box, traj, data, constants, checks)
     if reasons["occupancy"] is None:
@@ -263,7 +257,7 @@ def evaluate_cell(task: CellTask, traj: Trajectory) -> CellOutcome:
         drift=drift,
         martingale=mart,
         occupancy=occ,
-        bias=bias,
+        bias=task.bias,
         reasons=reasons,
     )
 

@@ -134,7 +134,9 @@ def mle(fam: FiniteExpFamily, data, box: ParamBox) -> MleResult:
     raises.  So does numerical convergence at an escaped parameter: a
     residual can only dip under the tolerance with coordinates beyond about
     -log(MLE_TOL) when the maximizer sits at infinity, whereas count-based
-    interior solutions stay within log(n) of the origin.
+    interior solutions stay within log(n) of the origin.  A Fisher matrix
+    that is singular at a finite iterate arises only as Newton chases such
+    a maximizer, and raises too.
     """
     target = empirical_stat_mean(fam, data)
     escape = max(2.0 * box.half_width, -0.9 * math.log(MLE_TOL))
@@ -163,7 +165,10 @@ def mle(fam: FiniteExpFamily, data, box: ParamBox) -> MleResult:
                 nll_path=np.asarray(path),
             )
         hess, _ = fisher_info(fam, theta)
-        step = np.linalg.solve(hess, grad)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError as exc:
+            raise MleNonexistenceError("Fisher matrix is singular; no interior maximizer") from exc
         scale = 1.0
         while scale > 1e-14:
             candidate = theta - scale * step

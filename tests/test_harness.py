@@ -14,6 +14,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,10 @@ from cdanneal.harness import (
     run_experiment,
     verify_assumptions,
 )
+from cdanneal.diagnostics import bias_bound_grid
+from cdanneal.kernel import m_step_stat_table
 from cdanneal.learner import Schedule
+from cdanneal.model import _in_blocks, mean_parameter
 from test_readme import BLOCKS as README_BLOCKS
 
 
@@ -55,6 +60,34 @@ OVER_STATE_CAP = {
     "grid_per_axis": 3,
 }
 
+# FVBM p = 3 with a far-off truth: seed 2's n = 10 sample, counts [0, 0, 1, 0, 0, 0, 0, 9],
+# sends Newton after a maximizer at infinity until the Fisher matrix is singular.
+SINGULAR_NEWTON = {
+    "model": {"type": "fvbm", "p": 3},
+    "theta_star": [-3.042, 1.328, 4.694, 2.409, 3.113, -2.291],
+    "half_width": 6.0,
+    "n_values": [10, 1000],
+    "m_values": [1, 1000],
+    "schedule": {"kind": "harmonic", "eta0": 1e-9},
+    "iterations": 2,
+    "burn_in": 1,
+    "seeds": [2, 3],
+    "grid_per_axis": 3,
+}
+# FVBM p = 3 at the benchmark's truth with m = 80: the drift coefficient is
+# positive, so every check of every cell applies.
+P3_ADMISSIBLE = {
+    "model": {"type": "fvbm", "p": 3},
+    "theta_star": [0.5, 0.2, 1.0, 0.3, 0.1, 0.5],
+    "half_width": 1.25,
+    "grid_per_axis": 4,
+    "m_values": [80],
+    "schedule": {"kind": "harmonic", "eta0": 1.0},
+    "n_values": [1000, 10000],
+    "seeds": [0, 1],
+    "iterations": 1000,
+    "burn_in": 50,
+}
 
 # The keys of every meta.json: the five diagnose checks against config.json, then the cell's own values.
 META_KEYS = {
@@ -415,6 +448,61 @@ class TestRunExperiment:
             run_experiment(small_config(), blocker / "sub", master_seed=0)
 
 
+class TestPrepareCells:
+    """Each cell's sample decides its checks and bias grid before any trajectory exists."""
+
+    CONFIG = dict(n_values=[1000, 60], m_values=[4, 2], seeds=[1, 0])
+
+    def test_bias_is_bit_for_bit_the_full_table_report(self):
+        config = small_config(**self.CONFIG)
+        tasks, _ = harness._prepare_cells(config, 0)
+        fam, box = config.build_family(), config.build_box()
+        grid = box.grid(config.grid_per_axis)
+        mean_table = _in_blocks(fam, grid, lambda t: mean_parameter(fam, t))
+        stat_tables = {m: m_step_stat_table(fam, grid, m) for m in (2, 4)}
+        ran = 0
+        for task in tasks:
+            if harness._skip_reasons(task)["bias_bound"] is not None:
+                assert task.bias is None
+                continue
+            ran += 1
+            want = bias_bound_grid(
+                fam, task.data, task.constants, task.checks, grid,
+                stat_table=stat_tables[task.m], mean_table=mean_table,
+            )
+            for name in ("thetas", "lhs", "rhs"):
+                got, ref = getattr(task.bias, name), getattr(want, name)
+                assert got.tobytes() == ref.tobytes()
+        assert 0 < ran < len(tasks)  # the config has samples on both sides of the constraints
+
+    def test_one_stat_table_per_m_ascending_and_alive_alone(self, monkeypatch):
+        built, alive = [], []
+
+        def recording(fam, grid, m):
+            assert not any(ref() is not None for ref in alive)  # the last m's table is gone
+            built.append(m)
+            table = m_step_stat_table(fam, grid, m)
+            alive.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(harness, "m_step_stat_table", recording)
+        harness._prepare_cells(small_config(**self.CONFIG), 0)
+        assert built == [2, 4]
+
+    def test_labels_in_run_order(self):
+        tasks, _ = harness._prepare_cells(small_config(**self.CONFIG), 0)
+        assert [task.label for task in tasks] == [
+            f"n{n}_m{m}_s{s}" for n in (60, 1000) for s in (0, 1) for m in (2, 4)
+        ]
+
+    def test_no_task_field_holds_a_grid_table(self):
+        tasks, _ = harness._prepare_cells(small_config(**self.CONFIG), 0)
+        names = {f.name for f in fields(harness.CellTask)}
+        assert names.isdisjoint({"grid", "stat_table", "mean_table"})
+        for task in tasks:
+            assert not any(isinstance(getattr(task, name), np.ndarray) for name in names)
+
+
 class TestVerify:
     def test_report_content(self, tmp_path):
         config = small_config(m_values=[1, 2])
@@ -516,6 +604,23 @@ class TestDiagnose:
         after = file_digests(out)
         assert set(after) - set(before) == {"diagnose_summary.json"}
         assert {path: after[path] for path in before} == before
+
+    def test_p3_admissible_config_passes_every_check_in_every_cell(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(P3_ADMISSIBLE))
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        assert cli.main(["diagnose", "--out", str(out)]) == 0
+        cells = list((out / "cells").iterdir())
+        assert {cell.name for cell in cells} == {
+            f"n{n}_m80_s{s}" for n in (1000, 10000) for s in (0, 1)
+        }
+        for cell in cells:
+            entries = json.loads((cell / "diagnostics.json").read_text())
+            assert [e["check"] for e in entries] == list(harness.CHECKS)
+            for entry in entries:
+                assert entry["hypotheses_met"] is True and "reason" not in entry
+                assert entry["violations"] == 0
 
     def test_missing_run_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -895,6 +1000,19 @@ class TestCli:
         assert err.startswith("config error:")
         assert "row t=40: boundary_hit 1 disagrees with the boundary-layer guard" in err
         assert "Traceback" not in err
+
+    def test_sample_whose_newton_step_is_singular_runs_as_no_mle(self, tmp_path, capsys):
+        # seed 2's n = 10 sample used to end `run` in a LinAlgError traceback
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(SINGULAR_NEWTON))
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        for m in (1, 1000):
+            cell = out / "cells" / f"n10_m{m}_s2"
+            assert json.loads((cell / "meta.json").read_text())["mle"] is None
+            entries = json.loads((cell / "diagnostics.json").read_text())
+            assert [e["reason"] for e in entries] == ["mle does not exist"] * 5
 
     @pytest.mark.parametrize("command", ["run", "rate"])
     @pytest.mark.parametrize("workers", ["0", "-1"])

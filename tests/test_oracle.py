@@ -153,6 +153,16 @@ class TestMle:
         with pytest.raises(MleNonexistenceError):
             mle(fvbm2, np.full(50, 3, dtype=np.int64), box3)
 
+    def test_singular_newton_step_means_no_mle(self):
+        # Newton chases the maximizer at infinity of counts [0, 0, 1, 0, 0, 0, 0, 9]
+        # until the Fisher matrix is singular; np.linalg.solve used to raise LinAlgError
+        fvbm3 = build_fvbm(3)
+        theta = np.array([-3.042, 1.328, 4.694, 2.409, 3.113, -2.291])
+        data = sample_iid(fvbm3, theta, 10, seed=[0, 2, 10, 2])
+        assert _data_counts(fvbm3, data).tolist() == [0, 0, 1, 0, 0, 0, 0, 9]
+        with pytest.raises(MleNonexistenceError, match="singular"):
+            mle(fvbm3, data, ParamBox(6.0, fvbm3.dim))
+
     def test_clipping_flagged_for_tiny_box(self, fvbm2):
         tiny = ParamBox(0.1, 3)
         data = np.array([0, 1, 2, 3] + [3] * 60)
