@@ -2,7 +2,7 @@
 families, plus exact enumeration-based convergence diagnostics."""
 
 # Bound before the submodules load: ``harness`` records it in config.json.
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 from .config import ConfigError, RunConfig, default_config
 from .diagnostics import (

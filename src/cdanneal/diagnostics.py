@@ -114,20 +114,14 @@ def expected_sq_distance_after_step(
     return float(_add_reduce(drifted * drifted) + eta**2 * var_trace)
 
 
-@dataclass(frozen=True)
-class _Counted:
-    """A sample already counted: ``_data_counts`` reads its ``counts`` as they are."""
-
-    counts: np.ndarray
-
-
 def _expected_sq_series(fam: FiniteExpFamily, box: ParamBox, traj: Trajectory, data, center):
     """E[|theta_{t+1} - center|^2 | theta_t] for every step t of a trajectory.
 
     The moments of the steps outside the boundary layer, which
     :func:`boundary_layer_contains` finds for the whole stack (and so
     refuses any step it refuses alone), are computed as stacks, in blocks
-    of ``_blocks``, from the data counted once; each step then goes through
+    of ``_blocks``, from the sample's counts (an index array is counted
+    once per block); each step then goes through
     :func:`expected_sq_distance_after_step`, which guards it and combines
     its moments.
     """
@@ -136,12 +130,10 @@ def _expected_sq_series(fam: FiniteExpFamily, box: ParamBox, traj: Trajectory, d
     center = np.asarray(center, dtype=float)
     live = np.flatnonzero(~boundary_layer_contains(box, thetas, etas, fam.stat_bound, fam.dim))
     moments = [None] * steps
-    if len(live):
-        counted = _Counted(_data_counts(fam, data))
-        for block in _blocks(len(live), fam.n_states**2):
-            means, traces = cd_conditional_moments(fam, thetas[live[block]], counted, m)
-            for t, mean, trace in zip(live[block].tolist(), means, traces):
-                moments[t] = (mean, trace)
+    for block in _blocks(len(live), fam.n_states**2):
+        means, traces = cd_conditional_moments(fam, thetas[live[block]], data, m)
+        for t, mean, trace in zip(live[block].tolist(), means, traces):
+            moments[t] = (mean, trace)
     return np.array(
         [
             expected_sq_distance_after_step(fam, box, theta, eta, data, m, center, step_moments)

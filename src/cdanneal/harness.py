@@ -5,9 +5,9 @@ cell samples data, runs the guarded CD iteration, measures the tail error
 of the weighted average and, when requested, re-verifies the per-step
 drift, super-martingale and bias bounds exactly.  ``run`` and ``diagnose``
 share one pipeline.  ``_prepare_cells`` settles everything a cell's sample
-decides: the data once per sample size and replicate, then, with one stat
-table per chain length m, the sample checks (their MLE included, through
-``oracle.check_sample``) and the bias grid once per (sample, m).
+decides: the data, as state counts, and their MLE once per sample size and
+replicate, then, with one stat table per chain length m, the sample checks
+and the bias grid once per (sample, m).
 ``evaluate_cell`` runs the checks that read a trajectory, whether it was
 just computed or read back from disk.  All outputs are plain CSV and JSON
 written with round-trip float formatting, so a rerun with the same
@@ -67,6 +67,7 @@ from .oracle import (
     assemble_constants,
     check_sample,
     compute_grid_bounds,
+    mle,
     sample_iid,
 )
 
@@ -127,9 +128,10 @@ def _write(path: Path, text: str) -> None:
 class CellTask:
     """One cell's inputs, everything its sample decides included.
 
-    Run-wide settings are read from ``config``, the true parameter and the
-    data seed from ``data``.  ``checks`` is None when the sample has no MLE,
-    ``bias`` is None unless ``_skip_reasons`` lets the bias check run.
+    Run-wide settings, the true parameter among them, are read from
+    ``config``, the data seed from ``data``.  ``checks`` is None when the
+    sample has no MLE, ``bias`` is None unless ``_skip_reasons`` lets the
+    bias check run.
     """
 
     config: RunConfig
@@ -162,7 +164,6 @@ class CellOutcome:
     drift: DriftReport | None
     martingale: MartingaleReport | None
     occupancy: OccupancyReport | None
-    bias: BiasGridReport | None
     reasons: dict
 
 
@@ -177,10 +178,10 @@ def _constants_table(config: RunConfig, fam, box, bounds) -> dict:
 def _prepare_cells(config: RunConfig, master_seed: int) -> tuple[list[CellTask], dict]:
     """Every cell's inputs, in run order, and the (n, m) constants table.
 
-    The data are drawn once per (n, replicate).  Then each m's stat table
-    serves every sample, for ``check_sample`` and, where the bias check
-    runs, ``bias_bound_grid``, and is dropped before the next m's is built.
-    A cell whose sample has no MLE gets no checks.
+    The data are drawn and their MLE fitted once per (n, replicate).  Then
+    each m's stat table serves every sample, for ``check_sample`` and, where
+    the bias check runs, ``bias_bound_grid``, and is dropped before the next
+    m's is built.  A cell whose sample has no MLE gets no checks.
     """
     fam = config.build_family()
     box = config.build_box()
@@ -189,22 +190,23 @@ def _prepare_cells(config: RunConfig, master_seed: int) -> tuple[list[CellTask],
     bounds = compute_grid_bounds(fam, box, theta_star, config.grid_per_axis)
     mean_table = _in_blocks(fam, grid, lambda t: mean_parameter(fam, t))
     constants = _constants_table(config, fam, box, bounds)
-    samples = [
-        (n, rep, sample_iid(fam, theta_star, n, seed=[master_seed, rep, n, RNG_STREAM_DATA]))
-        for n in sorted(int(v) for v in config.n_values)
-        for rep in sorted(int(s) for s in config.seeds)
-    ]
+    samples = []
+    for n in sorted(int(v) for v in config.n_values):
+        for rep in sorted(int(s) for s in config.seeds):
+            data = sample_iid(fam, theta_star, n, seed=[master_seed, rep, n, RNG_STREAM_DATA])
+            try:
+                fit = mle(fam, data, box)
+            except MleNonexistenceError:
+                fit = None
+            samples.append((n, rep, data, fit))
 
     tasks = []
     for m in sorted(int(v) for v in config.m_values):
         stat_table = m_step_stat_table(fam, grid, m)
-        for n, rep, data in samples:
-            try:
-                checks = check_sample(
-                    fam, box, data, theta_star, m, config.gamma, grid, stat_table=stat_table
-                )
-            except MleNonexistenceError:
-                checks = None
+        for n, rep, data, fit in samples:
+            checks = None if fit is None else check_sample(
+                fam, data, fit, theta_star, m, config.gamma, grid, stat_table=stat_table
+            )
             task = CellTask(config, master_seed, fam, box, n, m, rep, data, constants[(n, m)], checks)
             if _skip_reasons(task)["bias_bound"] is None:
                 task.bias = bias_bound_grid(
@@ -240,7 +242,7 @@ def _skip_reasons(task: CellTask) -> dict:
 def evaluate_cell(task: CellTask, traj: Trajectory) -> CellOutcome:
     """Tail error and every exact per-step check that ``_skip_reasons`` leaves to run.
 
-    The bias report needs no trajectory; it comes with the task.
+    The bias report needs no trajectory; it stays with the task.
     """
     reasons = _skip_reasons(task)
     fam, box, data, constants, checks = task.fam, task.box, task.data, task.constants, task.checks
@@ -253,11 +255,10 @@ def evaluate_cell(task: CellTask, traj: Trajectory) -> CellOutcome:
         occ = occupancy_report(traj, constants, checks)
     return CellOutcome(
         trajectory=traj,
-        delta=delta_n(traj, data.theta_star, task.config.tail_fraction),
+        delta=delta_n(traj, task.config.theta_star, task.config.tail_fraction),
         drift=drift,
         martingale=mart,
         occupancy=occ,
-        bias=task.bias,
         reasons=reasons,
     )
 
@@ -299,12 +300,12 @@ def _trajectory_csv(traj: Trajectory) -> str:
     return _csv(header, [np.arange(traj.steps + 1), traj.etas, *traj.thetas.T, traj.boundary_hits])
 
 
-def _diagnostic_entries(outcome: CellOutcome) -> list[dict]:
+def _diagnostic_entries(task: CellTask, outcome: CellOutcome) -> list[dict]:
     """One entry per check; a check that did not run records why."""
     mart = outcome.martingale
     records = {
         "drift": outcome.drift,
-        "bias_bound": outcome.bias,
+        "bias_bound": task.bias,
         "martingale_outside_ball": None if mart is None else mart.out,
         "martingale_inside": None if mart is None else mart.inside,
         "occupancy": outcome.occupancy,
@@ -316,12 +317,12 @@ def _diagnostic_entries(outcome: CellOutcome) -> list[dict]:
     ]
 
 
-def _write_cell_diagnostics(cell_dir: Path, outcome: CellOutcome) -> list[dict]:
+def _write_cell_diagnostics(cell_dir: Path, task: CellTask, outcome: CellOutcome) -> list[dict]:
     """Write a cell's diagnostics.json and, when drift ran, its exact series to drift.csv."""
     drift = outcome.drift
     if drift is not None:
         _write(cell_dir / "drift.csv", _csv(["t", "lhs", "rhs"], [drift.t, drift.lhs, drift.rhs]))
-    entries = _diagnostic_entries(outcome)
+    entries = _diagnostic_entries(task, outcome)
     _write(cell_dir / "diagnostics.json", _json_text(_scrub(entries)))
     return entries
 
@@ -456,13 +457,13 @@ def run_experiment(
 
     tasks, constants = _prepare_cells(config, master_seed)
     outcomes = _map_tasks(tasks, workers)
-    theta_star = tasks[0].data.theta_star
+    theta_star = np.asarray(config.theta_star, dtype=float)
 
     for task, outcome in zip(tasks, outcomes):
         cell_dir = out / "cells" / task.label
         _write(cell_dir / "trajectory.csv", _trajectory_csv(outcome.trajectory))
         _write(cell_dir / "meta.json", _json_text(_scrub(_meta_dict(task, outcome))))
-        _write_cell_diagnostics(cell_dir, outcome)
+        _write_cell_diagnostics(cell_dir, task, outcome)
 
     groups: dict = {}  # (n, m) -> its (task, outcome) pairs in replicate order
     for task, outcome in sorted(zip(tasks, outcomes), key=lambda pair: pair[0].replicate):
@@ -725,7 +726,7 @@ def diagnose_run(out_dir) -> DiagnoseResult:
 
     cells = []
     for task, traj in zip(tasks, trajectories):
-        entries = _write_cell_diagnostics(cells_dir / task.label, evaluate_cell(task, traj))
+        entries = _write_cell_diagnostics(cells_dir / task.label, task, evaluate_cell(task, traj))
         violations = sum(e["violations"] for e in entries)
         cells.append({"cell": task.label, "violations": violations, "ok": violations == 0})
     all_ok = all(cell["ok"] for cell in cells)

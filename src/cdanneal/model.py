@@ -252,8 +252,9 @@ def _index_array(items) -> np.ndarray:
 def _data_counts(fam: FiniteExpFamily, data) -> np.ndarray:
     """State counts of a sample, shape (S,) int64; the sample size is their sum.
 
-    A ``DataSample`` carries its counts, so only their length is checked
-    (O(S)); an index array is validated and counted here.
+    A ``DataSample`` is its counts, so only their length is checked: it
+    must be the family's state count.  An index array is validated and
+    counted here.
     """
     counts = getattr(data, "counts", None)
     if counts is None:
@@ -261,10 +262,11 @@ def _data_counts(fam: FiniteExpFamily, data) -> np.ndarray:
         if items.max() >= fam.n_states:
             raise ValueError("datum outside the state space")
         return np.bincount(items, minlength=fam.n_states)
-    short = fam.n_states - counts.size
-    if short < 0:
-        raise ValueError("datum outside the state space")
-    return counts if short == 0 else np.concatenate([counts, np.zeros(short, np.int64)])
+    if counts.size != fam.n_states:
+        raise ValueError(
+            f"sample counts have {counts.size} entries; the family has {fam.n_states} states"
+        )
+    return counts
 
 
 def log_partition(fam: FiniteExpFamily, theta):

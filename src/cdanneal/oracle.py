@@ -8,7 +8,7 @@ these values can serve as oracles for the stochastic learner.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .model import (
     ParamBox,
     _data_counts,
     _in_blocks,
-    _index_array,
     _max_difference_quotient,
     _per_point,
     fisher_info,
@@ -56,45 +55,41 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DataSample:
-    """An i.i.d. sample stored as indices into the family's state list.
+    """An i.i.d. sample stored as its state counts.
 
-    ``items`` is a read-only int64 copy of the given indices and
-    ``theta_star`` a read-only float64 copy of the true parameter, so the
-    caller's arrays are neither aliased nor frozen.  ``counts`` holds the
-    read-only state counts ``np.bincount(items)``, computed once: every
-    exact function reads the sample through them, so the per-step checks
-    never recount it.  Its length is max(items) + 1; the functions that
-    take a family pad it to the family's state count and refuse a sample
-    with a state beyond it.
+    ``counts`` is a read-only int64 copy of the given counts, so the
+    caller's array is neither aliased nor frozen; ``n`` is their total.
+    Every exact function reads a sample only through its counts, and the
+    functions that take a family refuse counts of any length but its state
+    count.
     """
 
-    items: np.ndarray
-    theta_star: np.ndarray
+    counts: np.ndarray
     seed: object
-    counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        items = _index_array(self.items).copy()
-        counts = np.bincount(items)
-        theta_star = np.array(self.theta_star, dtype=float)
-        items.flags.writeable = counts.flags.writeable = theta_star.flags.writeable = False
-        object.__setattr__(self, "items", items)
+        counts = np.asarray(self.counts)
+        if counts.ndim != 1 or not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError("counts must be a 1-d array of integers")
+        counts = counts.astype(np.int64)
+        if counts.size == 0 or counts.min() < 0 or counts.sum() < 1:
+            raise ValueError("counts must be nonnegative with a total of at least 1")
+        counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "theta_star", theta_star)
 
     @property
     def n(self) -> int:
-        return self.items.size
+        return int(self.counts.sum())
 
 
 def sample_iid(fam: FiniteExpFamily, theta_star, n: int, seed) -> DataSample:
-    """n exact categorical draws from the enumerated distribution."""
+    """The state counts of n exact categorical draws from the enumerated distribution."""
     if n < 1:
         raise ValueError("n must be >= 1")
     probs = state_probs(fam, theta_star)
     rng = np.random.default_rng(seed)
     items = rng.choice(fam.n_states, size=n, p=probs)
-    return DataSample(items=items, theta_star=np.asarray(theta_star, dtype=float), seed=seed)
+    return DataSample(counts=np.bincount(items, minlength=fam.n_states), seed=seed)
 
 
 def empirical_stat_mean(fam: FiniteExpFamily, data) -> np.ndarray:
@@ -128,7 +123,11 @@ def mle(fam: FiniteExpFamily, data, box: ParamBox) -> MleResult:
     """Damped Newton solve of grad A(theta) = empirical statistic mean.
 
     The negative log-likelihood is strictly convex, so Newton with
-    backtracking decreases it monotonically; failure to reach the residual
+    backtracking decreases it, up to a few ulps: a step whose predicted
+    decrease (the Newton decrement) is within a few ulps of the nll is
+    taken in full, because there the line search compares rounding noise
+    and would stall short of the residual tolerance, so the nll path may
+    rise by a few ulps near the optimum.  Failure to reach the residual
     tolerance ``MLE_TOL`` within ``MLE_MAX_ITER`` iterations signals a
     boundary-of-mean-range sample (for example all data identical) and
     raises.  So does numerical convergence at an escaped parameter: a
@@ -169,11 +168,14 @@ def mle(fam: FiniteExpFamily, data, box: ParamBox) -> MleResult:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
             raise MleNonexistenceError("Fisher matrix is singular; no interior maximizer") from exc
+        decrement = float(grad @ step)
+        # Below the nll's resolution the Armijo test compares rounding noise.
+        resolved = decrement > 4.0 * float(np.spacing(abs(current)))
         scale = 1.0
         while scale > 1e-14:
             candidate = theta - scale * step
             value = nll(candidate)
-            if value <= current - 1e-4 * scale * float(grad @ step):
+            if not resolved or value <= current - 1e-4 * scale * decrement:
                 break
             scale /= 2.0
         else:
@@ -197,19 +199,13 @@ class ConstraintCheck:
 
 
 def check_constraint_mle(
-    fam: FiniteExpFamily,
-    data,
-    theta_star,
-    gamma: float,
-    box: ParamBox,
-    mle_result: MleResult | None = None,
+    fam: FiniteExpFamily, data, theta_star, gamma: float, fit: MleResult
 ) -> ConstraintCheck:
-    """Check sqrt(n) * |mle - theta_star| < n**gamma."""
+    """Check sqrt(n) * |mle - theta_star| < n**gamma, with ``fit`` the sample's MLE."""
     _validate_gamma(gamma)
     n = int(_data_counts(fam, data).sum())
-    result = mle_result if mle_result is not None else mle(fam, data, box)
     statistic = math.sqrt(n) * float(
-        np.linalg.norm(result.theta - np.asarray(theta_star, dtype=float))
+        np.linalg.norm(fit.theta - np.asarray(theta_star, dtype=float))
     )
     bound = float(n) ** gamma
     return ConstraintCheck(
@@ -267,18 +263,18 @@ class SampleChecks:
 
 def check_sample(
     fam: FiniteExpFamily,
-    box: ParamBox,
     data,
+    fit: MleResult,
     theta_star,
     m: int,
     gamma: float,
     theta_grid,
     stat_table: np.ndarray | None = None,
 ) -> SampleChecks:
-    result = mle(fam, data, box)
+    """Both sample-quality constraints of ``data``, given its MLE ``fit``."""
     return SampleChecks(
-        mle=result,
-        mle_check=check_constraint_mle(fam, data, theta_star, gamma, box, mle_result=result),
+        mle=fit,
+        mle_check=check_constraint_mle(fam, data, theta_star, gamma, fit),
         empirical_check=check_constraint_empirical_process(
             fam, data, theta_star, m, gamma, theta_grid, stat_table=stat_table
         ),

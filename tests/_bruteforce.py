@@ -15,6 +15,15 @@ import math
 import numpy as np
 
 
+def items_of(data):
+    """The state-index array whose counts are ``data.counts``, states in ascending order.
+
+    Every exact function reads a sample only through its counts, so the order
+    of the indices does not matter; this feeds the index-array path.
+    """
+    return np.repeat(np.arange(data.counts.size), data.counts)
+
+
 def enumerate_cd_moments(fam, theta, items, m, eta, center):
     """Expectations of the CD gradient and the post-step squared distance.
 

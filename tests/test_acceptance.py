@@ -39,9 +39,10 @@ from cdanneal.oracle import (
     check_constraint_mle,
     check_sample,
     compute_grid_bounds,
+    mle,
     sample_iid,
 )
-from _bruteforce import enumerate_cd_moments
+from _bruteforce import enumerate_cd_moments, items_of
 
 GAMMA = 0.45
 SMALL_HALF_WIDTH = 1.25
@@ -78,8 +79,9 @@ def drift_runs(fvbm2, small_box, small_bounds, theta_star):
     runs = []
     for rep in range(5):
         data = sample_iid(fvbm2, theta_star, n, seed=[11, rep, n, 2])
+        fit = mle(fvbm2, data, small_box)
         checks = check_sample(
-            fvbm2, small_box, data, theta_star, ADMISSIBLE_M, GAMMA, grid, stat_table=stat_table
+            fvbm2, data, fit, theta_star, ADMISSIBLE_M, GAMMA, grid, stat_table=stat_table
         )
         traj = run_cd(
             fvbm2, small_box, Schedule("harmonic", 1.0), data,
@@ -155,7 +157,7 @@ class TestCriterion03Drift:
         worst = math.inf
         violations = 0
         for data, checks, traj in passing:
-            report = drift_report(fvbm2, small_box, traj, data.items, consts, checks)
+            report = drift_report(fvbm2, small_box, traj, items_of(data), consts, checks)
             worst = min(worst, report.worst_slack)
             violations += report.violations
         ok = violations == 0 and worst >= -1e-10
@@ -175,7 +177,7 @@ class TestCriterion04Martingales:
         violations = 0
         active = 0
         for data, checks, traj in passing:
-            report = martingale_report(fvbm2, small_box, traj, data.items, consts, checks)
+            report = martingale_report(fvbm2, small_box, traj, items_of(data), consts, checks)
             violations += report.out.violations + report.inside.violations
             active += int(np.sum(report.active_out)) + int(np.sum(report.active_in))
             assert report.bound_realized <= report.bound_analytic
@@ -195,12 +197,13 @@ class TestCriterion05BiasBound:
             consts = assemble_constants(fvbm2, box3, bounds, m, n, GAMMA)
             for rep in range(2):
                 data = sample_iid(fvbm2, theta_star, n, seed=[19, rep, n, 2])
+                fit = mle(fvbm2, data, box3)
                 checks = check_sample(
-                    fvbm2, box3, data, theta_star, m, GAMMA, grid, stat_table=stat_table
+                    fvbm2, data, fit, theta_star, m, GAMMA, grid, stat_table=stat_table
                 )
                 assert checks.passed
                 report = bias_bound_grid(
-                    fvbm2, data.items, consts, checks, grid, stat_table=stat_table
+                    fvbm2, items_of(data), consts, checks, grid, stat_table=stat_table
                 )
                 worst = min(worst, report.worst_slack)
                 checked += len(report.lhs)
@@ -266,14 +269,15 @@ class TestCriterion09Occupancy:
         consts = assemble_constants(fvbm2, small_box, small_bounds, ADMISSIBLE_M, n, GAMMA)
         data = sample_iid(fvbm2, theta_star, n, seed=[13, 0, n, 2])
         grid = small_box.grid(9)
-        checks = check_sample(fvbm2, small_box, data, theta_star, ADMISSIBLE_M, GAMMA, grid)
+        fit = mle(fvbm2, data, small_box)
+        checks = check_sample(fvbm2, data, fit, theta_star, ADMISSIBLE_M, GAMMA, grid)
         assert checks.passed
         traj = run_cd(
             fvbm2, small_box, Schedule("harmonic", 1.0), data,
             m=ADMISSIBLE_M, steps=100_000, burn_in=50, master_seed=13, replicate=0,
         )
         occ = occupancy_report(traj, consts, checks)
-        mart = martingale_report(fvbm2, small_box, traj, data.items, consts, checks)
+        mart = martingale_report(fvbm2, small_box, traj, items_of(data), consts, checks)
         tail_out = mart.tail_ratio("out")
         tail_in = mart.tail_ratio("in")
         ok = (
@@ -306,7 +310,7 @@ class TestCriterion10ConstraintPassRates:
                 data = sample_iid(fvbm2, theta_star, n, seed=[17, rep, n, 2])
                 try:
                     mle_pass += check_constraint_mle(
-                        fvbm2, data, theta_star, GAMMA, box3
+                        fvbm2, data, theta_star, GAMMA, mle(fvbm2, data, box3)
                     ).passed
                 except MleNonexistenceError:
                     pass

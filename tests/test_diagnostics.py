@@ -32,7 +32,7 @@ from cdanneal.oracle import (
     mle,
     sample_iid,
 )
-from _bruteforce import enumerate_cd_moments
+from _bruteforce import enumerate_cd_moments, items_of
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ def admissible_setup(fvbm2, small_box, small_bounds, theta_star):
     consts = assemble_constants(fvbm2, small_box, small_bounds, m, n, 0.45)
     assert consts.hypotheses_met
     data = sample_iid(fvbm2, theta_star, n, seed=77)
-    checks = check_sample(fvbm2, small_box, data, theta_star, m, 0.45, small_box.grid(9))
+    checks = check_sample(fvbm2, data, mle(fvbm2, data, small_box), theta_star, m, 0.45, small_box.grid(9))
     assert checks.passed
     return m, data, consts, checks
 
@@ -163,7 +163,7 @@ class TestBiasBound:
         m, n = 16, 1000
         consts = assemble_constants(fvbm2, small_box, small_bounds, m, n, 0.45)
         data = sample_iid(fvbm2, theta_star, n, seed=78)
-        checks = check_sample(fvbm2, small_box, data, theta_star, m, 0.45, small_box.grid(9))
+        checks = check_sample(fvbm2, data, mle(fvbm2, data, small_box), theta_star, m, 0.45, small_box.grid(9))
         failing = dataclasses.replace(
             checks,
             mle_check=dataclasses.replace(checks.mle_check, passed=False),
@@ -186,7 +186,7 @@ class TestBiasBound:
         utilization = []
         for m in range(1, 7):
             consts = assemble_constants(fvbm2, small_box, small_bounds, m, n, 0.45)
-            checks = check_sample(fvbm2, small_box, data, theta_star, m, 0.45, small_box.grid(9))
+            checks = check_sample(fvbm2, data, mle(fvbm2, data, small_box), theta_star, m, 0.45, small_box.grid(9))
             assert checks.passed
             report = bias_bound_grid(fvbm2, data, consts, checks, grid)
             assert report.violations == 0
@@ -201,24 +201,24 @@ class TestDrift:
         m, data, consts, checks = admissible_setup
         theta = np.array([1.25, 0.0, 0.0])
         eta = 0.2
-        value = expected_sq_distance_after_step(fvbm2, small_box, theta, eta, data.items, m, checks.mle.theta)
+        value = expected_sq_distance_after_step(fvbm2, small_box, theta, eta, items_of(data), m, checks.mle.theta)
         assert value == pytest.approx(float(np.sum((theta - checks.mle.theta) ** 2)), abs=1e-15)
 
     def test_zero_rate_is_exact_equality(self, fvbm2, small_box, admissible_setup):
         m, data, consts, checks = admissible_setup
         theta = np.array([0.4, 0.6, 0.1])
         h2 = float(np.sum((theta - checks.mle.theta) ** 2))
-        lhs = expected_sq_distance_after_step(fvbm2, small_box, theta, 0.0, data.items, m, checks.mle.theta)
+        lhs = expected_sq_distance_after_step(fvbm2, small_box, theta, 0.0, items_of(data), m, checks.mle.theta)
         assert lhs == pytest.approx(h2, abs=1e-14)
 
     def test_report_on_short_run(self, fvbm2, small_box, theta_star, small_bounds):
         m, n = 16, 1000
         consts = assemble_constants(fvbm2, small_box, small_bounds, m, n, 0.45)
         data = sample_iid(fvbm2, theta_star, n, seed=80)
-        checks = check_sample(fvbm2, small_box, data, theta_star, m, 0.45, small_box.grid(9))
+        checks = check_sample(fvbm2, data, mle(fvbm2, data, small_box), theta_star, m, 0.45, small_box.grid(9))
         traj = run_cd(fvbm2, small_box, Schedule("harmonic", 1.0), data, m=m, steps=300,
                       burn_in=20, master_seed=21, replicate=0)
-        report = drift_report(fvbm2, small_box, traj, data.items, consts, checks)
+        report = drift_report(fvbm2, small_box, traj, items_of(data), consts, checks)
         assert report.hypotheses_met == checks.passed
         assert report.violations == 0
         assert report.worst_slack >= -1e-10
@@ -232,8 +232,8 @@ class TestDrift:
         m, data, consts, checks = admissible_setup
         theta = np.array([0.2, 0.3, -0.1])
         eta = 0.05
-        mean, var_trace = cd_conditional_moments(fvbm2, theta, data.items, m)
-        lhs = expected_sq_distance_after_step(fvbm2, small_box, theta, eta, data.items, m, checks.mle.theta)
+        mean, var_trace = cd_conditional_moments(fvbm2, theta, items_of(data), m)
+        lhs = expected_sq_distance_after_step(fvbm2, small_box, theta, eta, items_of(data), m, checks.mle.theta)
         drifted = float(np.sum((theta + eta * mean - checks.mle.theta) ** 2))
         assert lhs == pytest.approx(drifted + eta**2 * var_trace, abs=1e-14)
         assert var_trace > 0
@@ -258,9 +258,10 @@ class TestSampleCountedOnce:
         drift = drift_report(fvbm2, small_box, traj, data, consts, checks)
         mart = martingale_report(fvbm2, small_box, traj, data, consts, checks)
         assert len(calls) == 0
-        # an index array is counted once per report, not once per step
-        drift_items = drift_report(fvbm2, small_box, traj, data.items, consts, checks)
-        mart_items = martingale_report(fvbm2, small_box, traj, data.items, consts, checks)
+        # an index array is counted once per block of live steps, not once per
+        # step; these 200 steps are one block, so once per report
+        drift_items = drift_report(fvbm2, small_box, traj, items_of(data), consts, checks)
+        mart_items = martingale_report(fvbm2, small_box, traj, items_of(data), consts, checks)
         assert len(calls) == 2
         assert np.array_equal(drift.lhs, drift_items.lhs)
         assert np.array_equal(mart.out.lhs, mart_items.out.lhs)
@@ -271,7 +272,7 @@ class TestStackedMoments:
     @pytest.mark.parametrize("m", [1, 2, 16])
     def test_stack_matches_each_point_alone(self, fvbm2, box3, m):
         thetas = box3.sample(np.random.default_rng(40 + m), 50)
-        items = sample_iid(fvbm2, np.array([0.5, 1.0, 0.5]), 1000, seed=41).items
+        items = items_of(sample_iid(fvbm2, np.array([0.5, 1.0, 0.5]), 1000, seed=41))
         means, traces = cd_conditional_moments(fvbm2, thetas, items, m)
         assert means.shape == (50, 3) and traces.shape == (50,)
         for theta, mean, trace in zip(thetas, means, traces):
@@ -297,14 +298,14 @@ class TestStackedMoments:
         assert np.sum(~traj.boundary_hits[: traj.steps]) > 256
         center = np.full(fam.dim, 0.1)
         loop = [
-            expected_sq_distance_after_step(fam, box, traj.thetas[t], traj.etas[t], data.items, m, center)
+            expected_sq_distance_after_step(fam, box, traj.thetas[t], traj.etas[t], items_of(data), m, center)
             for t in range(traj.steps)
         ]
         assert np.array_equal(_expected_sq_series(fam, box, traj, data, center), loop)
         for t in (156, 313, 627):
             theta, eta = traj.thetas[t], traj.etas[t]
             drifted = theta + eta * cd_conditional_moments(fam, theta, data, m)[0]
-            alone = expected_sq_distance_after_step(fam, box, theta, eta, data.items, m, drifted)
+            alone = expected_sq_distance_after_step(fam, box, theta, eta, items_of(data), m, drifted)
             assert _expected_sq_series(fam, box, traj, data, drifted)[t] == alone
 
     def test_all_frozen_trajectory_keeps_every_distance(self, fvbm2, small_box):
@@ -377,10 +378,10 @@ class TestCombinePinned:
         frozen = 0
         for theta, eta, mean, trace in zip(thetas, etas, means, traces):
             for center in centers:
-                want = _expected_sq_0_15(fam, box, theta, eta, data.items, m, center)
+                want = _expected_sq_0_15(fam, box, theta, eta, items_of(data), m, center)
                 frozen += want == float(np.sum((theta - center) ** 2))
                 for rate in (eta, float(eta)):
-                    args = (fam, box, theta, rate, data.items, m, center)
+                    args = (fam, box, theta, rate, items_of(data), m, center)
                     got = expected_sq_distance_after_step(*args)
                     given = expected_sq_distance_after_step(*args, (mean, trace))
                     assert isinstance(got, float) and got == want and given == want
@@ -394,7 +395,7 @@ class TestCombinePinned:
         assert 0 < np.sum(traj.boundary_hits[: traj.steps]) < traj.steps
         center = checks.mle.theta
         want = [
-            _expected_sq_0_15(fvbm2, box, theta, eta, data.items, m, center)
+            _expected_sq_0_15(fvbm2, box, theta, eta, items_of(data), m, center)
             for theta, eta in zip(traj.thetas[: traj.steps], traj.etas[: traj.steps])
         ]
         assert np.array_equal(_expected_sq_series(fvbm2, box, traj, data, center), want)
@@ -405,10 +406,10 @@ class TestMartingales:
         m, n = 16, 1000
         consts = assemble_constants(fvbm2, small_box, small_bounds, m, n, 0.45)
         data = sample_iid(fvbm2, theta_star, n, seed=81)
-        checks = check_sample(fvbm2, small_box, data, theta_star, m, 0.45, small_box.grid(9))
+        checks = check_sample(fvbm2, data, mle(fvbm2, data, small_box), theta_star, m, 0.45, small_box.grid(9))
         traj = run_cd(fvbm2, small_box, Schedule("harmonic", 1.0), data, m=m, steps=200,
                       master_seed=22, replicate=0)
-        report = martingale_report(fvbm2, small_box, traj, data.items, consts, checks)
+        report = martingale_report(fvbm2, small_box, traj, items_of(data), consts, checks)
         assert report.out.violations == 0
         assert report.inside.violations == 0
         assert report.bound_realized <= report.bound_analytic
@@ -425,7 +426,7 @@ class TestMartingales:
         traj = run_cd(fvbm2, small_box, Schedule("harmonic", 1.0), data, m=m, steps=5,
                       master_seed=23, replicate=0, theta_init=[1.25, 0.0, 0.0])
         assert traj.boundary_hits[0]
-        report = martingale_report(fvbm2, small_box, traj, data.items, consts, checks)
+        report = martingale_report(fvbm2, small_box, traj, items_of(data), consts, checks)
         eta0 = traj.etas[0]
         expected = -eta0 * consts.fluctuation_scale**2 / (2 * consts.drift_coeff) - 4 * 3 * eta0**2
         assert report.increment_in[0] == pytest.approx(expected, abs=1e-12)
@@ -463,11 +464,11 @@ class TestMartingales:
         consts = assemble_constants(fvbm2, box3, bounds, 2, 1000, 0.45)
         assert not consts.hypotheses_met
         data = sample_iid(fvbm2, theta_star, 1000, seed=82)
-        checks = check_sample(fvbm2, box3, data, theta_star, 2, 0.45, box3.grid(5))
+        checks = check_sample(fvbm2, data, mle(fvbm2, data, box3), theta_star, 2, 0.45, box3.grid(5))
         traj = run_cd(fvbm2, box3, Schedule("harmonic", 1.0), data, m=2, steps=50,
                       master_seed=24, replicate=0)
         with pytest.raises(HypothesesUnmetError):
-            martingale_report(fvbm2, box3, traj, data.items, consts, checks)
+            martingale_report(fvbm2, box3, traj, items_of(data), consts, checks)
         with pytest.raises(HypothesesUnmetError):
             occupancy_report(traj, consts, checks)
 

@@ -9,6 +9,7 @@ import multiprocessing
 import platform
 import re
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -339,7 +340,7 @@ class TestRunExperiment:
             assert mart is not None and mart.out is not None
             assert np.isnan(cols["thetabar"][: traj.burn_in]).all()
             assert np.array_equal(cols["thetabar"][tail], traj.weighted_avgs)
-            for name, center in (("dist_to_mle", mle), ("dist_to_true", task.data.theta_star)):
+            for name, center in (("dist_to_mle", mle), ("dist_to_true", task.config.theta_star)):
                 assert np.isnan(cols[name][: traj.burn_in]).all()
                 assert np.array_equal(
                     cols[name][tail], np.linalg.norm(traj.weighted_avgs - center, axis=1)
@@ -494,6 +495,29 @@ class TestPrepareCells:
         assert [task.label for task in tasks] == [
             f"n{n}_m{m}_s{s}" for n in (60, 1000) for s in (0, 1) for m in (2, 4)
         ]
+
+    def test_each_sample_fitted_once(self, monkeypatch):
+        fit, fitted = harness.mle, []
+
+        def recording(fam, data, box):
+            fitted.append(tuple(data.seed))
+            return fit(fam, data, box)
+
+        monkeypatch.setattr(harness, "mle", recording)
+        tasks, _ = harness._prepare_cells(small_config(**self.CONFIG), 0)
+        assert len(tasks) == 8  # 4 samples, 2 m's each
+        assert sorted(fitted) == sorted({tuple(task.data.seed) for task in tasks})
+
+    def test_task_size_does_not_grow_with_n(self):
+        # with the exact step checks off no task carries a bias grid, so what
+        # is left scales with the state count, not with n
+        sizes = {}
+        for n in (100, 1_000_000):
+            config = small_config(n_values=[n], seeds=[0], exact_step_checks=False)
+            (task,), _ = harness._prepare_cells(config, 0)
+            assert task.checks is not None and task.data.n == n
+            sizes[n] = len(pickle.dumps(task))
+        assert abs(sizes[1_000_000] - sizes[100]) <= 1024
 
     def test_no_task_field_holds_a_grid_table(self):
         tasks, _ = harness._prepare_cells(small_config(**self.CONFIG), 0)

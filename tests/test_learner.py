@@ -24,7 +24,7 @@ from cdanneal.learner import (
 from cdanneal.model import ParamBox, ParamBoxError, boundary_layer_contains, mean_parameter
 from cdanneal.oracle import mle, sample_iid
 
-from _bruteforce import cd_endpoints, cd_step
+from _bruteforce import cd_endpoints, cd_step, items_of
 
 
 class TestSchedule:
@@ -150,9 +150,9 @@ class TestCdGradient:
         pi_gap = np.max(np.abs(rows - mean_parameter(fvbm2, theta_star)))
         assert pi_gap < 1e-9
         reps = 400
-        draws = np.stack([_cd_draw(fvbm2, theta_star, data.items, m, 6, r) for r in range(reps)])
+        draws = np.stack([_cd_draw(fvbm2, theta_star, items_of(data), m, 6, r) for r in range(reps)])
         exact = (
-            np.bincount(data.items, minlength=4) @ fvbm2.suff_stats / data.n
+            data.counts @ fvbm2.suff_stats / data.n
             - mean_parameter(fvbm2, theta_star)
         )
         se = draws.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -377,7 +377,7 @@ class TestRunCdRng:
         # the per-run generator draws at step t exactly what the replay
         # entry counter_rng(seed, replicate, t, 1) draws
         data = sample_iid(fvbm2, theta_star, 80, seed=21)
-        start = np.bincount(data.items, minlength=fvbm2.n_states)
+        start = data.counts
         _assert_replays_reference(fvbm2, data, start, 3, 17, 200)
 
     @pytest.mark.parametrize("as_items", [False, True], ids=["DataSample", "index_array"])
@@ -386,8 +386,8 @@ class TestRunCdRng:
         # the per-run sampler computes each update with the same float
         # operations and draws as the validating public kernel entries
         sample = sample_iid(fvbm2, theta_star, 60, seed=[29, m])
-        start = np.bincount(sample.items, minlength=fvbm2.n_states)
-        data = sample.items if as_items else sample
+        start = sample.counts
+        data = items_of(sample) if as_items else sample
         _assert_replays_reference(fvbm2, data, start, m, 29, 120)
 
     @pytest.mark.parametrize("m", [2, 5])
@@ -539,7 +539,7 @@ class TestExactGradient:
         # at eta = 0.7 the guard would freeze this step (theta_2 is 2.10 from the
         # boundary, the layer 2.42 wide); at 0.5 the layer is 1.73 wide
         traj = run_exact_gradient(
-            fvbm2, box3, Schedule("fixed", 0.5), data.items, steps=1, theta_init=result.theta
+            fvbm2, box3, Schedule("fixed", 0.5), items_of(data), steps=1, theta_init=result.theta
         )
         assert not traj.boundary_hits[0]
         np.testing.assert_allclose(traj.thetas[1], result.theta, atol=1e-9)
@@ -556,12 +556,12 @@ class TestExactGradient:
         monkeypatch.setattr(learner, "boundary_layer_contains", spy)
         data = sample_iid(fvbm2, theta_star, 200, seed=11)
         schedule = Schedule("power", 2.0, exponent=0.75)
-        traj = run_exact_gradient(fvbm2, box3, schedule, data.items, steps=400)
+        traj = run_exact_gradient(fvbm2, box3, schedule, items_of(data), steps=400)
         assert seen == traj.etas.tolist()
 
     def test_converges_to_newton_mle(self, fvbm1):
         box = ParamBox(3.0, 1)
         data = sample_iid(fvbm1, np.array([0.8]), 300, seed=10)
         target = mle(fvbm1, data, box)
-        traj = run_exact_gradient(fvbm1, box, Schedule("harmonic", 10.0), data.items, steps=2000)
+        traj = run_exact_gradient(fvbm1, box, Schedule("harmonic", 10.0), items_of(data), steps=2000)
         assert abs(traj.thetas[-1, 0] - target.theta[0]) < 1e-4

@@ -1,12 +1,13 @@
 """Sampling, MLE, sample-constraint and theory-constant checks."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from _bruteforce import grid_bounds_per_point
+from _bruteforce import grid_bounds_per_point, items_of
 from cdanneal.kernel import kernel_power, build_gibbs_random_scan
 from cdanneal.learner import Schedule, run_cd
 from cdanneal.model import ParamBox, _data_counts, build_fvbm, state_probs
@@ -42,74 +43,85 @@ class TestDataIndices:
     def test_sample_object_and_index_list_agree(self, fvbm2, theta_star):
         data = sample_iid(fvbm2, theta_star, 50, seed=4)
         np.testing.assert_array_equal(
-            empirical_stat_mean(fvbm2, data), empirical_stat_mean(fvbm2, data.items.tolist())
+            empirical_stat_mean(fvbm2, data), empirical_stat_mean(fvbm2, items_of(data).tolist())
         )
 
 
 class TestDataSample:
     @pytest.mark.parametrize("items", [np.array([0.5, 1.7, 3.2]), np.array([0.0, 1.0]), [2.0]])
-    def test_non_integer_items_rejected(self, theta_star, items):
+    def test_non_integer_items_rejected(self, fvbm2, items):
+        # refused as counts and as state indices alike
+        with pytest.raises(ValueError, match="integers"):
+            DataSample(counts=items, seed=None)
         with pytest.raises(ValueError, match="state indices"):
-            DataSample(items=items, theta_star=theta_star, seed=None)
+            _data_counts(fvbm2, items)
 
-    def test_integer_items_kept_as_int64(self, theta_star):
-        data = DataSample(items=[0, 3, 1], theta_star=theta_star, seed=None)
-        assert data.items.dtype == np.int64
-        np.testing.assert_array_equal(data.items, [0, 3, 1])
+    @pytest.mark.parametrize(
+        "counts", [[[1, 0], [2, 1]], [1, -1, 2, 0], [0, 0, 0, 0], []], ids=["2d", "negative", "zero", "empty"]
+    )
+    def test_malformed_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="counts"):
+            DataSample(counts=np.array(counts, dtype=np.int32), seed=None)
 
-    def test_items_and_counts_reject_writes(self, theta_star):
-        data = DataSample(items=[0, 3, 1, 3], theta_star=theta_star, seed=None)
-        np.testing.assert_array_equal(data.counts, [1, 1, 0, 2])
-        for stored in (data.items, data.counts):
-            with pytest.raises(ValueError, match="read-only"):
-                stored[0] = 2
+    def test_integer_counts_kept_as_int64(self):
+        data = DataSample(counts=np.array([1, 0, 2, 1], dtype=np.int32), seed=None)
+        assert data.counts.dtype == np.int64
+        np.testing.assert_array_equal(data.counts, [1, 0, 2, 1])
+        assert data.n == 4
 
-    def test_caller_array_neither_aliased_nor_frozen(self, theta_star):
-        source = np.array([0, 3, 1, 3], dtype=np.int64)
-        data = DataSample(items=source, theta_star=theta_star, seed=None)
-        source[:] = 2
-        np.testing.assert_array_equal(data.items, [0, 3, 1, 3])
-        np.testing.assert_array_equal(data.counts, [1, 1, 0, 2])
-
-    def test_theta_star_is_a_frozen_copy(self):
-        source = np.array([0.5, 1.0, 0.5])
-        data = DataSample(items=[0, 3], theta_star=source, seed=None)
-        source[:] = 9.0
-        np.testing.assert_array_equal(data.theta_star, [0.5, 1.0, 0.5])
-        assert data.theta_star.dtype == np.float64
-        assert not data.theta_star.flags.writeable
-        assert source.flags.writeable
+    def test_counts_reject_writes(self):
+        data = DataSample(counts=[1, 1, 0, 2], seed=None)
         with pytest.raises(ValueError, match="read-only"):
-            data.theta_star[0] = 2.0
+            data.counts[0] = 2
 
-    def test_counts_padded_to_the_family(self, fvbm2, theta_star):
-        data = DataSample(items=[1, 1, 0], theta_star=theta_star, seed=None)
-        np.testing.assert_array_equal(_data_counts(fvbm2, data), [1, 2, 0, 0])
+    def test_caller_array_neither_aliased_nor_frozen(self):
+        source = np.array([1, 1, 0, 2], dtype=np.int64)
+        data = DataSample(counts=source, seed=None)
+        assert not np.shares_memory(data.counts, source)
+        source[:] = 2
+        assert source.flags.writeable
+        np.testing.assert_array_equal(data.counts, [1, 1, 0, 2])
+
+    def test_counts_shorter_than_the_family_refused(self, fvbm2):
+        data = DataSample(counts=[1, 2, 0], seed=None)
+        with pytest.raises(ValueError, match="3 entries"):
+            _data_counts(fvbm2, data)
 
     def test_sample_of_a_larger_family_refused(self, fvbm2):
-        fvbm3 = build_fvbm(3)
-        data = DataSample(items=[0, 7, 2], theta_star=np.zeros(fvbm3.dim), seed=None)
-        with pytest.raises(ValueError, match="outside the state space"):
+        data = DataSample(counts=[1, 0, 1, 0, 0, 0, 0, 1], seed=None)
+        with pytest.raises(ValueError, match="8 entries"):
             _data_counts(fvbm2, data)
-        with pytest.raises(ValueError, match="outside the state space"):
+        with pytest.raises(ValueError, match="8 entries"):
             empirical_stat_mean(fvbm2, data)
 
 
 class TestSampleIid:
     def test_uniform_frequencies(self, fvbm2):
         data = sample_iid(fvbm2, np.zeros(3), 1_000_000, seed=0)
-        freqs = np.bincount(data.items, minlength=4) / data.n
+        freqs = data.counts / data.n
         np.testing.assert_allclose(freqs, 0.25, atol=0.002)
 
     def test_seeded_reproducibility(self, fvbm2, theta_star):
         a = sample_iid(fvbm2, theta_star, 1000, seed=123)
         b = sample_iid(fvbm2, theta_star, 1000, seed=123)
-        np.testing.assert_array_equal(a.items, b.items)
+        np.testing.assert_array_equal(a.counts, b.counts)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_counts_of_the_same_draws(self, p):
+        # the counts of exactly the draws rng.choice makes, so stored runs keep their data
+        fam = build_fvbm(p)
+        theta = np.linspace(-0.8, 1.1, fam.dim)
+        for n in (1, 7, 1000, 54_321):
+            for seed in (0, 5, [3, 1, n, 2]):
+                draws = np.random.default_rng(seed).choice(fam.n_states, n, p=state_probs(fam, theta))
+                data = sample_iid(fam, theta, n, seed=seed)
+                np.testing.assert_array_equal(data.counts, np.bincount(draws, minlength=fam.n_states))
+                assert data.n == n and data.seed == seed
 
     def test_frequencies_match_exact_law(self, fvbm2, theta_star):
         n = 1_000_000
         data = sample_iid(fvbm2, theta_star, n, seed=17)
-        freqs = np.bincount(data.items, minlength=4) / n
+        freqs = data.counts / n
         probs = state_probs(fvbm2, theta_star)
         for f, p in zip(freqs, probs):
             assert abs(f - p) <= 4 * math.sqrt(p * (1 - p) / n)
@@ -149,6 +161,24 @@ class TestMle:
         result = mle(fvbm2, data, box3)
         assert np.all(np.diff(result.nll_path) <= 1e-12)
 
+    @pytest.mark.parametrize("counts", [[3, 2, 4, 1], [5, 10, 10, 5]])
+    def test_line_search_stall_is_no_refusal(self, fvbm2, box3, counts):
+        # the Armijo test used to compare nll values closer than their float
+        # resolution and refuse these samples after 200 iterations
+        result = mle(fvbm2, DataSample(counts=counts, seed=None), box3)
+        assert result.residual < 1e-10
+        assert result.iterations < 20
+
+    def test_every_full_support_sample_converges(self, fvbm2, box3):
+        # at p=2 the MLE exists iff every state is observed
+        solved = 0
+        for n in range(4, 13):
+            for counts in itertools.product(range(1, n - 2), repeat=4):
+                if sum(counts) == n:
+                    assert mle(fvbm2, DataSample(counts=counts, seed=None), box3).residual < 1e-10
+                    solved += 1
+        assert solved == 495
+
     def test_degenerate_sample_has_no_mle(self, fvbm2, box3):
         with pytest.raises(MleNonexistenceError):
             mle(fvbm2, np.full(50, 3, dtype=np.int64), box3)
@@ -176,7 +206,7 @@ class TestMleConstraint:
     def test_perfect_estimate_has_full_margin(self, fvbm2, box3):
         data = sample_iid(fvbm2, np.array([0.5, 1.0, 0.5]), 5000, seed=2)
         fitted = mle(fvbm2, data, box3)
-        check = check_constraint_mle(fvbm2, data, fitted.theta, 0.45, box3, mle_result=fitted)
+        check = check_constraint_mle(fvbm2, data, fitted.theta, 0.45, fitted)
         assert check.passed
         assert check.statistic == 0.0
         assert check.margin == pytest.approx(5000**0.45)
@@ -184,7 +214,7 @@ class TestMleConstraint:
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_passes_on_honest_samples(self, fvbm2, box3, theta_star, gamma):
         data = sample_iid(fvbm2, theta_star, 10_000, seed=3)
-        check = check_constraint_mle(fvbm2, data, theta_star, gamma, box3)
+        check = check_constraint_mle(fvbm2, data, theta_star, gamma, mle(fvbm2, data, box3))
         assert check.margin == check.bound - check.statistic
         if gamma == 0.45:
             assert check.passed
@@ -192,14 +222,15 @@ class TestMleConstraint:
     def test_fails_against_distant_truth(self, fvbm2, box3, theta_star):
         shifted = theta_star + np.array([0.0, 3.0, 0.0])
         data = sample_iid(fvbm2, shifted, 10_000, seed=5)
-        check = check_constraint_mle(fvbm2, data, theta_star - np.array([0.0, 1.0, 0.0]), 0.45, ParamBox(5.0, 3))
+        fit = mle(fvbm2, data, ParamBox(5.0, 3))
+        check = check_constraint_mle(fvbm2, data, theta_star - np.array([0.0, 1.0, 0.0]), 0.45, fit)
         assert not check.passed
 
     def test_pass_rate_high_at_default_gamma(self, fvbm2, box3, theta_star):
         passed = 0
         for seed in range(30):
             data = sample_iid(fvbm2, theta_star, 10_000, seed=1000 + seed)
-            passed += check_constraint_mle(fvbm2, data, theta_star, 0.45, box3).passed
+            passed += check_constraint_mle(fvbm2, data, theta_star, 0.45, mle(fvbm2, data, box3)).passed
         assert passed >= 27
 
 
@@ -251,7 +282,9 @@ class TestEmpiricalProcessConstraint:
 
     def test_check_sample_combines_both(self, fvbm2, box3, theta_star):
         data = sample_iid(fvbm2, theta_star, 10_000, seed=31)
-        checks = check_sample(fvbm2, box3, data, theta_star, 2, 0.45, box3.grid(5))
+        fit = mle(fvbm2, data, box3)
+        checks = check_sample(fvbm2, data, fit, theta_star, 2, 0.45, box3.grid(5))
+        assert checks.mle is fit
         assert checks.passed == (checks.mle_check.passed and checks.empirical_check.passed)
         assert checks.m == 2
 
