@@ -2,7 +2,7 @@
 families, plus exact enumeration-based convergence diagnostics."""
 
 # Bound before the submodules load: ``harness`` records it in config.json.
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 from .config import ConfigError, RunConfig, default_config
 from .diagnostics import (
@@ -23,7 +23,6 @@ from .kernel import (
     kernel_distance,
     kernel_power,
     m_step_stat_rows,
-    m_step_stat_table,
     spectral_gap,
 )
 from .learner import (
@@ -53,6 +52,7 @@ from .oracle import (
     check_constraint_empirical_process,
     check_constraint_mle,
     check_sample,
+    check_samples,
     mle,
     root_chi_square_divergence,
     sample_iid,

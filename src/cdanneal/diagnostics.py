@@ -13,17 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import build_gibbs_random_scan, kernel_power, m_step_stat_table
+from .kernel import build_gibbs_random_scan, kernel_power
 from .learner import Trajectory
 from .model import (
     FiniteExpFamily,
     ParamBox,
     _blocks,
     _data_counts,
-    _in_blocks,
     _per_point,
     boundary_layer_contains,
-    mean_parameter,
 )
 from .oracle import SampleChecks, TheoryConstants
 
@@ -194,32 +192,21 @@ class BiasGridReport(BoundCheck):
     thetas: np.ndarray
 
 
-def bias_bound_grid(
-    fam: FiniteExpFamily,
-    data,
-    constants: TheoryConstants,
-    checks: SampleChecks,
-    thetas,
-    stat_table: np.ndarray | None = None,
-    mean_table: np.ndarray | None = None,
-) -> BiasGridReport:
-    """Bias-bound slack at every point of a parameter grid.
+def bias_bound_grid(constants: TheoryConstants, checks: SampleChecks, thetas) -> BiasGridReport:
+    """Bias-bound slack at every point of the grid ``checks`` swept.
 
-    The bound only holds for samples satisfying both quality constraints,
-    so unverified samples are refused rather than scored.
+    The exact bias norms come with the sample checks; ``thetas`` is their
+    grid.  The bound only holds for samples satisfying both quality
+    constraints, so unverified samples are refused rather than scored.
     """
     if constants.m != checks.m:
         raise ValueError("constants and sample checks disagree on the chain length m")
     if not checks.passed:
         raise HypothesesUnmetError("sample failed its quality constraints; bound does not apply")
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    counts = _data_counts(fam, data)
-    weights = counts / counts.sum()
-    if stat_table is None:
-        stat_table = m_step_stat_table(fam, thetas, constants.m)
-    if mean_table is None:
-        mean_table = _in_blocks(fam, thetas, lambda t: mean_parameter(fam, t))
-    lhs = np.linalg.norm(mean_table - np.einsum("s,gsd->gd", weights, stat_table), axis=1)
+    lhs = checks.bias_norms
+    if len(thetas) != len(lhs):
+        raise ValueError("thetas is not the grid of the sample checks' bias norms")
     dist = np.linalg.norm(thetas - checks.mle.theta, axis=1)
     rhs = constants.fluctuation_scale + constants.bias_coeff * dist
     return BiasGridReport(

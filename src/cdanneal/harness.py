@@ -6,8 +6,8 @@ of the weighted average and, when requested, re-verifies the per-step
 drift, super-martingale and bias bounds exactly.  ``run`` and ``diagnose``
 share one pipeline.  ``_prepare_cells`` settles everything a cell's sample
 decides: the data, as state counts, and their MLE once per sample size and
-replicate, then, with one stat table per chain length m, the sample checks
-and the bias grid once per (sample, m).
+replicate, then, with one sweep of the parameter grid per chain length m,
+the sample checks and the bias grid once per (sample, m).
 ``evaluate_cell`` runs the checks that read a trajectory, whether it was
 just computed or read back from disk.  All outputs are plain CSV and JSON
 written with round-trip float formatting, so a rerun with the same
@@ -39,7 +39,6 @@ from .diagnostics import (
     occupancy_report,
     rate_fit,
 )
-from .kernel import m_step_stat_table
 from .learner import (
     RNG_STREAM_DATA,
     TailDistance,
@@ -53,10 +52,8 @@ from .model import (
     IDENTIFIABILITY_PROBES,
     FiniteExpFamily,
     ParamBox,
-    _in_blocks,
     boundary_layer_contains,
     identifiability_report,
-    mean_parameter,
 )
 from .oracle import (
     DataSample,
@@ -65,7 +62,7 @@ from .oracle import (
     TheoryConstants,
     _scrub,
     assemble_constants,
-    check_sample,
+    check_samples,
     compute_grid_bounds,
     mle,
     sample_iid,
@@ -179,16 +176,16 @@ def _prepare_cells(config: RunConfig, master_seed: int) -> tuple[list[CellTask],
     """Every cell's inputs, in run order, and the (n, m) constants table.
 
     The data are drawn and their MLE fitted once per (n, replicate).  Then
-    each m's stat table serves every sample, for ``check_sample`` and, where
-    the bias check runs, ``bias_bound_grid``, and is dropped before the next
-    m's is built.  A cell whose sample has no MLE gets no checks.
+    one ``check_samples`` sweep of the grid per m, in ascending m, checks
+    every sample that has an MLE and gives the bias norms that
+    ``bias_bound_grid`` scores where the bias check runs.  A cell whose
+    sample has no MLE gets no checks.
     """
     fam = config.build_family()
     box = config.build_box()
     theta_star = np.asarray(config.theta_star, dtype=float)
     grid = box.grid(config.grid_per_axis)
     bounds = compute_grid_bounds(fam, box, theta_star, config.grid_per_axis)
-    mean_table = _in_blocks(fam, grid, lambda t: mean_parameter(fam, t))
     constants = _constants_table(config, fam, box, bounds)
     samples = []
     for n in sorted(int(v) for v in config.n_values):
@@ -199,22 +196,20 @@ def _prepare_cells(config: RunConfig, master_seed: int) -> tuple[list[CellTask],
             except MleNonexistenceError:
                 fit = None
             samples.append((n, rep, data, fit))
+    fitted = [(data, fit) for _, _, data, fit in samples if fit is not None]
+    fitted_data, fits = [data for data, _ in fitted], [fit for _, fit in fitted]
 
     tasks = []
     for m in sorted(int(v) for v in config.m_values):
-        stat_table = m_step_stat_table(fam, grid, m)
+        checks = iter(check_samples(fam, fitted_data, fits, theta_star, m, config.gamma, grid))
         for n, rep, data, fit in samples:
-            checks = None if fit is None else check_sample(
-                fam, data, fit, theta_star, m, config.gamma, grid, stat_table=stat_table
+            task = CellTask(
+                config, master_seed, fam, box, n, m, rep, data, constants[(n, m)],
+                None if fit is None else next(checks),
             )
-            task = CellTask(config, master_seed, fam, box, n, m, rep, data, constants[(n, m)], checks)
             if _skip_reasons(task)["bias_bound"] is None:
-                task.bias = bias_bound_grid(
-                    fam, data, task.constants, checks, grid,
-                    stat_table=stat_table, mean_table=mean_table,
-                )
+                task.bias = bias_bound_grid(task.constants, task.checks, grid)
             tasks.append(task)
-        del stat_table
     tasks.sort(key=lambda task: (task.n, task.replicate, task.m))
     return tasks, constants
 

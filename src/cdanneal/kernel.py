@@ -17,7 +17,6 @@ from .model import (
     FiniteExpFamily,
     _blocks,
     _check_theta,
-    _in_blocks,
     _max_difference_quotient,
     _per_point,
     _scores,
@@ -33,7 +32,6 @@ __all__ = [
     "kernel_distance",
     "kernel_power",
     "m_step_stat_rows",
-    "m_step_stat_table",
     "reversibility_violation",
     "spectral_gap",
     "stationarity_violation",
@@ -322,8 +320,3 @@ def m_step_stat_rows(fam: FiniteExpFamily, theta, m: int) -> np.ndarray:
     """
     return kernel_power(build_gibbs_random_scan(fam, theta), m).probs @ fam.suff_stats
 
-
-def m_step_stat_table(fam: FiniteExpFamily, thetas, m: int) -> np.ndarray:
-    """:func:`m_step_stat_rows` over a parameter grid, shape (G, S, d), in blocks."""
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    return _in_blocks(fam, thetas, lambda t: m_step_stat_rows(fam, t, m))

@@ -15,12 +15,13 @@ import numpy as np
 from .kernel import (
     build_gibbs_random_scan,
     estimate_zeta,
-    m_step_stat_table,
+    m_step_stat_rows,
     spectral_gap,
 )
 from .model import (
     FiniteExpFamily,
     ParamBox,
+    _blocks,
     _data_counts,
     _in_blocks,
     _max_difference_quotient,
@@ -44,6 +45,7 @@ __all__ = [
     "check_constraint_empirical_process",
     "check_constraint_mle",
     "check_sample",
+    "check_samples",
     "compute_grid_bounds",
     "empirical_stat_mean",
     "mle",
@@ -198,6 +200,14 @@ class ConstraintCheck:
     margin: float
 
 
+def _constraint(statistic: float, n: int, gamma: float) -> ConstraintCheck:
+    """The record of ``statistic < n**gamma``."""
+    bound = float(n) ** gamma
+    return ConstraintCheck(
+        passed=statistic < bound, statistic=statistic, bound=bound, margin=bound - statistic
+    )
+
+
 def check_constraint_mle(
     fam: FiniteExpFamily, data, theta_star, gamma: float, fit: MleResult
 ) -> ConstraintCheck:
@@ -207,20 +217,40 @@ def check_constraint_mle(
     statistic = math.sqrt(n) * float(
         np.linalg.norm(fit.theta - np.asarray(theta_star, dtype=float))
     )
-    bound = float(n) ** gamma
-    return ConstraintCheck(
-        passed=statistic < bound, statistic=statistic, bound=bound, margin=bound - statistic
-    )
+    return _constraint(statistic, n, gamma)
+
+
+def _grid_pass(fam: FiniteExpFamily, samples, theta_star, m: int, gamma: float, theta_grid):
+    """Every sample's empirical-process check and bias norms, from one sweep of the grid.
+
+    The m-step rows K^m phi and the means mu are built once per block of the
+    grid and serve every sample, w its state frequencies: the check reads
+    the largest gap |(w - p_star) K^m phi|, the bias norms are the exact CD-m
+    gradient bias |mu(theta) - w K^m phi| at each point.  No (G, S, d) table
+    is held.
+    """
+    _validate_gamma(gamma)
+    counts = [_data_counts(fam, data) for data in samples]
+    theta_grid = np.atleast_2d(np.asarray(theta_grid, dtype=float))
+    if theta_grid.size == 0:
+        raise ValueError("theta grid is empty")
+    ns = [int(c.sum()) for c in counts]
+    weights = [c / n for c, n in zip(counts, ns)]
+    target_probs = state_probs(fam, theta_star)
+    sups = [0.0] * len(samples)
+    biases = [np.empty(len(theta_grid)) for _ in samples]
+    for block in _blocks(len(theta_grid), fam.n_states**2):
+        rows = m_step_stat_rows(fam, theta_grid[block], m)
+        means = mean_parameter(fam, theta_grid[block])
+        for k, w in enumerate(weights):
+            gaps = np.linalg.norm(np.einsum("s,gsd->gd", w - target_probs, rows), axis=1)
+            sups[k] = max(sups[k], float(np.max(gaps)))
+            biases[k][block] = np.linalg.norm(means - np.einsum("s,gsd->gd", w, rows), axis=1)
+    return [_constraint(math.sqrt(n) * sup, n, gamma) for n, sup in zip(ns, sups)], biases
 
 
 def check_constraint_empirical_process(
-    fam: FiniteExpFamily,
-    data,
-    theta_star,
-    m: int,
-    gamma: float,
-    theta_grid,
-    stat_table: np.ndarray | None = None,
+    fam: FiniteExpFamily, data, theta_star, m: int, gamma: float, theta_grid
 ) -> ConstraintCheck:
     """Check the uniform m-step moment deviation over a parameter grid.
 
@@ -228,58 +258,50 @@ def check_constraint_empirical_process(
     m-step expected statistic are computed exactly from transition-matrix
     rows; the sup of sqrt(n) times their gap must stay below n**gamma.
     """
-    _validate_gamma(gamma)
-    counts = _data_counts(fam, data)
-    n = int(counts.sum())
-    theta_grid = np.atleast_2d(np.asarray(theta_grid, dtype=float))
-    if theta_grid.size == 0:
-        raise ValueError("theta grid is empty")
-    if stat_table is None:
-        stat_table = m_step_stat_table(fam, theta_grid, m)
-    weights = counts / n
-    target_probs = state_probs(fam, theta_star)
-    # (G, d) gaps between the empirical and population row averages.
-    gaps = np.einsum("s,gsd->gd", weights - target_probs, stat_table)
-    statistic = math.sqrt(n) * float(np.max(np.linalg.norm(gaps, axis=1)))
-    bound = float(n) ** gamma
-    return ConstraintCheck(
-        passed=statistic < bound, statistic=statistic, bound=bound, margin=bound - statistic
-    )
+    return _grid_pass(fam, [data], theta_star, m, gamma, theta_grid)[0][0]
 
 
 @dataclass(frozen=True)
 class SampleChecks:
-    """Both sample-quality constraints plus the MLE they share."""
+    """Both sample-quality constraints plus the MLE they share.
+
+    ``bias_norms`` is the exact CD-m gradient bias at each point of the
+    grid the empirical check swept (see :func:`_grid_pass`).
+    """
 
     mle: MleResult
     mle_check: ConstraintCheck
     empirical_check: ConstraintCheck
     m: int
+    bias_norms: np.ndarray
 
     @property
     def passed(self) -> bool:
         return self.mle_check.passed and self.empirical_check.passed
 
 
+def check_samples(
+    fam: FiniteExpFamily, samples, fits, theta_star, m: int, gamma: float, theta_grid
+) -> list[SampleChecks]:
+    """:func:`check_sample` of every sample with its MLE, from one sweep of the grid."""
+    empirical, biases = _grid_pass(fam, samples, theta_star, m, gamma, theta_grid)
+    return [
+        SampleChecks(
+            mle=fit,
+            mle_check=check_constraint_mle(fam, data, theta_star, gamma, fit),
+            empirical_check=check,
+            m=int(m),
+            bias_norms=bias,
+        )
+        for data, fit, check, bias in zip(samples, fits, empirical, biases, strict=True)
+    ]
+
+
 def check_sample(
-    fam: FiniteExpFamily,
-    data,
-    fit: MleResult,
-    theta_star,
-    m: int,
-    gamma: float,
-    theta_grid,
-    stat_table: np.ndarray | None = None,
+    fam: FiniteExpFamily, data, fit: MleResult, theta_star, m: int, gamma: float, theta_grid
 ) -> SampleChecks:
     """Both sample-quality constraints of ``data``, given its MLE ``fit``."""
-    return SampleChecks(
-        mle=fit,
-        mle_check=check_constraint_mle(fam, data, theta_star, gamma, fit),
-        empirical_check=check_constraint_empirical_process(
-            fam, data, theta_star, m, gamma, theta_grid, stat_table=stat_table
-        ),
-        m=int(m),
-    )
+    return check_samples(fam, [data], [fit], theta_star, m, gamma, theta_grid)[0]
 
 
 def root_chi_square_divergence(fam: FiniteExpFamily, theta_star, theta):

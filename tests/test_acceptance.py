@@ -25,7 +25,6 @@ from cdanneal.diagnostics import (
 )
 from cdanneal.kernel import (
     build_gibbs_random_scan,
-    m_step_stat_table,
     reversibility_violation,
     spectral_gap,
     stationarity_violation,
@@ -75,14 +74,11 @@ def drift_runs(fvbm2, small_box, small_bounds, theta_star):
     consts = assemble_constants(fvbm2, small_box, small_bounds, ADMISSIBLE_M, n, GAMMA)
     assert consts.hypotheses_met
     grid = small_box.grid(9)
-    stat_table = m_step_stat_table(fvbm2, grid, ADMISSIBLE_M)
     runs = []
     for rep in range(5):
         data = sample_iid(fvbm2, theta_star, n, seed=[11, rep, n, 2])
         fit = mle(fvbm2, data, small_box)
-        checks = check_sample(
-            fvbm2, data, fit, theta_star, ADMISSIBLE_M, GAMMA, grid, stat_table=stat_table
-        )
+        checks = check_sample(fvbm2, data, fit, theta_star, ADMISSIBLE_M, GAMMA, grid)
         traj = run_cd(
             fvbm2, small_box, Schedule("harmonic", 1.0), data,
             m=ADMISSIBLE_M, steps=1000, burn_in=50, master_seed=11, replicate=rep,
@@ -193,18 +189,13 @@ class TestCriterion05BiasBound:
         worst = math.inf
         checked = 0
         for m in (2, 4):
-            stat_table = m_step_stat_table(fvbm2, grid, m)
             consts = assemble_constants(fvbm2, box3, bounds, m, n, GAMMA)
             for rep in range(2):
                 data = sample_iid(fvbm2, theta_star, n, seed=[19, rep, n, 2])
                 fit = mle(fvbm2, data, box3)
-                checks = check_sample(
-                    fvbm2, data, fit, theta_star, m, GAMMA, grid, stat_table=stat_table
-                )
+                checks = check_sample(fvbm2, data, fit, theta_star, m, GAMMA, grid)
                 assert checks.passed
-                report = bias_bound_grid(
-                    fvbm2, items_of(data), consts, checks, grid, stat_table=stat_table
-                )
+                report = bias_bound_grid(consts, checks, grid)
                 worst = min(worst, report.worst_slack)
                 checked += len(report.lhs)
         _report(5, worst >= 0.0, f"{checked} grid evaluations, worst slack {worst:.5f}")
@@ -302,7 +293,6 @@ class TestCriterion10ConstraintPassRates:
         """Both sample constraints pass on at least 95% of 100 seeds at n = 10^4."""
         m = 2
         grid = box3.grid(9)
-        stat_table = m_step_stat_table(fvbm2, grid, m)
         rates = {}
         for n in (100, 10_000):
             mle_pass = emp_pass = 0
@@ -315,7 +305,7 @@ class TestCriterion10ConstraintPassRates:
                 except MleNonexistenceError:
                     pass
                 emp_pass += check_constraint_empirical_process(
-                    fvbm2, data, theta_star, m, GAMMA, grid, stat_table=stat_table
+                    fvbm2, data, theta_star, m, GAMMA, grid
                 ).passed
             rates[n] = (mle_pass / 100.0, emp_pass / 100.0)
         ok = (

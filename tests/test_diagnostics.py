@@ -145,17 +145,21 @@ class TestBruteForceAgreement:
 
 
 class TestBiasBound:
-    def test_positive_slack_at_the_mle(self, fvbm2, small_box, admissible_setup):
+    def test_positive_slack_at_the_mle(self, fvbm2, small_box, theta_star, admissible_setup):
         m, data, consts, checks = admissible_setup
-        report = bias_bound_grid(fvbm2, data, consts, checks, checks.mle.theta)
+        at_mle = check_sample(fvbm2, data, checks.mle, theta_star, m, 0.45, checks.mle.theta)
+        report = bias_bound_grid(consts, at_mle, checks.mle.theta)
         # at the MLE the distance term vanishes; only the fluctuation
         # allowance remains on the right side
         assert report.rhs[0] == pytest.approx(consts.fluctuation_scale)
         assert report.slack[0] >= 0
 
-    def test_slack_positive_on_grid(self, fvbm2, small_box, admissible_setup):
+    def test_slack_positive_on_grid(self, fvbm2, small_box, theta_star, admissible_setup):
         m, data, consts, checks = admissible_setup
-        report = bias_bound_grid(fvbm2, data, consts, checks, small_box.grid(5))
+        grid = small_box.grid(5)
+        report = bias_bound_grid(
+            consts, check_sample(fvbm2, data, checks.mle, theta_star, m, 0.45, grid), grid
+        )
         assert report.violations == 0
         assert report.worst_slack >= 0
 
@@ -169,12 +173,17 @@ class TestBiasBound:
             mle_check=dataclasses.replace(checks.mle_check, passed=False),
         )
         with pytest.raises(HypothesesUnmetError):
-            bias_bound_grid(fvbm2, data, consts, failing, theta_star)
+            bias_bound_grid(consts, failing, small_box.grid(9))
 
-    def test_mismatched_m_rejected(self, fvbm2, admissible_setup):
+    def test_refused_on_another_grid(self, fvbm2, small_box, admissible_setup):
+        m, data, consts, checks = admissible_setup
+        with pytest.raises(ValueError, match="grid"):
+            bias_bound_grid(consts, checks, small_box.grid(5))
+
+    def test_mismatched_m_rejected(self, fvbm2, small_box, admissible_setup):
         m, data, consts, checks = admissible_setup
         with pytest.raises(ValueError):
-            bias_bound_grid(fvbm2, data, dataclasses.replace(consts, m=m + 1), checks, np.zeros(3))
+            bias_bound_grid(dataclasses.replace(consts, m=m + 1), checks, small_box.grid(9))
 
     def test_bound_utilization_shrinks_with_m(self, fvbm2, small_box, small_bounds, theta_star):
         # longer chains shrink the geometric coefficient of the distance
@@ -188,7 +197,8 @@ class TestBiasBound:
             consts = assemble_constants(fvbm2, small_box, small_bounds, m, n, 0.45)
             checks = check_sample(fvbm2, data, mle(fvbm2, data, small_box), theta_star, m, 0.45, small_box.grid(9))
             assert checks.passed
-            report = bias_bound_grid(fvbm2, data, consts, checks, grid)
+            on_grid = check_sample(fvbm2, data, checks.mle, theta_star, m, 0.45, grid)
+            report = bias_bound_grid(consts, on_grid, grid)
             assert report.violations == 0
             utilization.append(report.lhs / report.rhs)
         utilization = np.stack(utilization)

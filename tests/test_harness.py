@@ -15,7 +15,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -24,7 +23,7 @@ import pytest
 
 import cdanneal
 import cdanneal.cli as cli
-from cdanneal import harness
+from cdanneal import harness, oracle
 from cdanneal.config import MAX_GRID_POINTS, ConfigError, RunConfig, default_config
 from cdanneal.harness import (
     DiagnoseResult,
@@ -33,10 +32,9 @@ from cdanneal.harness import (
     run_experiment,
     verify_assumptions,
 )
-from cdanneal.diagnostics import bias_bound_grid
-from cdanneal.kernel import m_step_stat_table
+from cdanneal.kernel import m_step_stat_rows
 from cdanneal.learner import Schedule
-from cdanneal.model import _in_blocks, mean_parameter
+from cdanneal.model import mean_parameter
 from test_readme import BLOCKS as README_BLOCKS
 
 
@@ -454,41 +452,40 @@ class TestPrepareCells:
 
     CONFIG = dict(n_values=[1000, 60], m_values=[4, 2], seeds=[1, 0])
 
-    def test_bias_is_bit_for_bit_the_full_table_report(self):
+    def test_bias_is_bit_for_bit_the_full_table_norm(self):
         config = small_config(**self.CONFIG)
         tasks, _ = harness._prepare_cells(config, 0)
         fam, box = config.build_family(), config.build_box()
         grid = box.grid(config.grid_per_axis)
-        mean_table = _in_blocks(fam, grid, lambda t: mean_parameter(fam, t))
-        stat_tables = {m: m_step_stat_table(fam, grid, m) for m in (2, 4)}
+        # the (G, d) means and each m's (G, S, d) table, one point at a time
+        means = np.stack([mean_parameter(fam, theta) for theta in grid])
+        tables = {m: np.stack([m_step_stat_rows(fam, theta, m) for theta in grid]) for m in (2, 4)}
         ran = 0
         for task in tasks:
             if harness._skip_reasons(task)["bias_bound"] is not None:
                 assert task.bias is None
                 continue
             ran += 1
-            want = bias_bound_grid(
-                fam, task.data, task.constants, task.checks, grid,
-                stat_table=stat_tables[task.m], mean_table=mean_table,
-            )
-            for name in ("thetas", "lhs", "rhs"):
-                got, ref = getattr(task.bias, name), getattr(want, name)
-                assert got.tobytes() == ref.tobytes()
+            weights = task.data.counts / task.data.n
+            lhs = np.linalg.norm(means - np.einsum("s,gsd->gd", weights, tables[task.m]), axis=1)
+            dist = np.linalg.norm(grid - task.checks.mle.theta, axis=1)
+            rhs = task.constants.fluctuation_scale + task.constants.bias_coeff * dist
+            for got, want in ((task.bias.thetas, grid), (task.bias.lhs, lhs), (task.bias.rhs, rhs)):
+                assert got.tobytes() == want.tobytes()
         assert 0 < ran < len(tasks)  # the config has samples on both sides of the constraints
 
-    def test_one_stat_table_per_m_ascending_and_alive_alone(self, monkeypatch):
-        built, alive = [], []
+    def test_one_grid_sweep_per_m_ascending(self, monkeypatch):
+        rows, swept = oracle.m_step_stat_rows, []
 
-        def recording(fam, grid, m):
-            assert not any(ref() is not None for ref in alive)  # the last m's table is gone
-            built.append(m)
-            table = m_step_stat_table(fam, grid, m)
-            alive.append(weakref.ref(table))
-            return table
+        def recording(fam, thetas, m):
+            swept.append((m, len(thetas)))
+            return rows(fam, thetas, m)
 
-        monkeypatch.setattr(harness, "m_step_stat_table", recording)
-        harness._prepare_cells(small_config(**self.CONFIG), 0)
-        assert built == [2, 4]
+        monkeypatch.setattr(oracle, "m_step_stat_rows", recording)
+        config = small_config(**self.CONFIG)
+        tasks, _ = harness._prepare_cells(config, 0)
+        assert len(tasks) == 8 and all(task.checks is not None for task in tasks)
+        assert swept == [(2, config.grid_per_axis**3), (4, config.grid_per_axis**3)]
 
     def test_labels_in_run_order(self):
         tasks, _ = harness._prepare_cells(small_config(**self.CONFIG), 0)

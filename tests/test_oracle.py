@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from _bruteforce import grid_bounds_per_point, items_of
-from cdanneal.kernel import kernel_power, build_gibbs_random_scan
+from cdanneal.kernel import kernel_power, build_gibbs_random_scan, m_step_stat_rows
 from cdanneal.learner import Schedule, run_cd
-from cdanneal.model import ParamBox, _data_counts, build_fvbm, state_probs
+from cdanneal.model import ParamBox, _blocks, _data_counts, build_fvbm, mean_parameter, state_probs
 from cdanneal.oracle import (
     DataSample,
     MleNonexistenceError,
@@ -18,6 +18,7 @@ from cdanneal.oracle import (
     check_constraint_empirical_process,
     check_constraint_mle,
     check_sample,
+    check_samples,
     compute_grid_bounds,
     empirical_stat_mean,
     mle,
@@ -426,3 +427,59 @@ class TestGridBoundsInBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+
+class TestCheckSamples:
+    """One blocked sweep of the grid checks every sample, with the bits of a full table."""
+
+    @pytest.mark.parametrize(
+        "p, half_width, theta_star, per_axis, blocks",
+        [(2, 3.0, [0.5, 1.0, 0.5], 9, 1), (3, 1.25, P3_THETA_STAR, 5, 62)],
+        ids=["p2_one_block", "p3_many_blocks"],
+    )
+    def test_matches_the_full_table_bit_for_bit(self, p, half_width, theta_star, per_axis, blocks):
+        fam = build_fvbm(p)
+        box = ParamBox(half_width, fam.dim)
+        grid = box.grid(per_axis)
+        assert len(list(_blocks(len(grid), fam.n_states**2))) == blocks
+        m, gamma = 3, 0.45
+        samples = [sample_iid(fam, theta_star, n, seed=seed) for seed, n in enumerate((500, 2000, 8000))]
+        fits = [mle(fam, data, box) for data in samples]
+        checks = check_samples(fam, samples, fits, theta_star, m, gamma, grid)
+        # the (G, S, d) table and the (G, d) means, one point at a time
+        table = np.stack([m_step_stat_rows(fam, theta, m) for theta in grid])
+        means = np.stack([mean_parameter(fam, theta) for theta in grid])
+        target = state_probs(fam, theta_star)
+        assert len(checks) == len(samples)
+        for data, fit, got in zip(samples, fits, checks):
+            weights = data.counts / data.n
+            gaps = np.linalg.norm(np.einsum("s,gsd->gd", weights - target, table), axis=1)
+            statistic = math.sqrt(data.n) * float(np.max(gaps))
+            bias = np.linalg.norm(means - np.einsum("s,gsd->gd", weights, table), axis=1)
+            assert got.empirical_check.statistic.hex() == statistic.hex()
+            assert got.bias_norms.tobytes() == bias.tobytes()
+            assert got.mle is fit and got.m == m
+            assert got.mle_check == check_constraint_mle(fam, data, theta_star, gamma, fit)
+            alone = check_sample(fam, data, fit, theta_star, m, gamma, grid)
+            assert alone.empirical_check == got.empirical_check
+            assert alone.bias_norms.tobytes() == got.bias_norms.tobytes()
+            assert check_constraint_empirical_process(
+                fam, data, theta_star, m, gamma, grid
+            ) == got.empirical_check
+
+    def test_peak_memory_a_quarter_of_the_table(self):
+        # 6**6 = 46,656 points of 8 states and 6 statistics: the (G, S, d)
+        # table of m-step rows would take about 18 MB
+        fam = build_fvbm(3)
+        box = ParamBox(1.25, fam.dim)
+        grid = box.grid(6)
+        table_bytes = len(grid) * fam.n_states * fam.dim * 8
+        data = sample_iid(fam, P3_THETA_STAR, 1000, seed=0)
+        fit = mle(fam, data, box)
+        tracemalloc.start()
+        try:
+            check_sample(fam, data, fit, P3_THETA_STAR, 2, 0.45, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes / 4
