@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import flip_tables
+from .kernel import _gibbs_tables
 from .learner import Schedule, _is_key_word
 from .model import FiniteExpFamily, ParamBox, _in_blocks, family_from_json, state_log_probs
 
@@ -102,7 +102,7 @@ class RunConfig:
     def validate(self) -> None:
         fam = self.build_family()
         try:
-            flip_tables(fam)
+            _gibbs_tables(fam)
         except ValueError as exc:
             raise ConfigError(f"model cannot be sampled by random-scan Gibbs: {exc}") from exc
         if not _is_real(self.half_width):

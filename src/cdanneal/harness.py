@@ -150,18 +150,13 @@ class CellTask:
 
 @dataclass
 class CellOutcome:
-    """What evaluating a cell's trajectory computed; the cell itself is its ``CellTask``.
-
-    ``reasons`` maps each check, in ``diagnostics.json`` order, to why it did
-    not run, or to None when it ran.
-    """
+    """What evaluating a cell's trajectory computed; the cell itself is its ``CellTask``."""
 
     trajectory: Trajectory
     delta: TailDistance
     drift: DriftReport | None
     martingale: MartingaleReport | None
     occupancy: OccupancyReport | None
-    reasons: dict
 
 
 def _constants_table(config: RunConfig, fam, box, bounds) -> dict:
@@ -254,7 +249,6 @@ def evaluate_cell(task: CellTask, traj: Trajectory) -> CellOutcome:
         drift=drift,
         martingale=mart,
         occupancy=occ,
-        reasons=reasons,
     )
 
 
@@ -308,7 +302,7 @@ def _diagnostic_entries(task: CellTask, outcome: CellOutcome) -> list[dict]:
     skipped = {"steps": 0, "violations": 0, "worst_slack": None, "hypotheses_met": False}
     return [
         {"check": check, **(dict(skipped, reason=reason) if reason else records[check].entry())}
-        for check, reason in outcome.reasons.items()
+        for check, reason in _skip_reasons(task).items()
     ]
 
 

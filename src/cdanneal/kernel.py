@@ -19,7 +19,6 @@ from .model import (
     _check_theta,
     _max_difference_quotient,
     _per_point,
-    _scores,
     state_probs,
 )
 
@@ -28,7 +27,6 @@ __all__ = [
     "ZetaEstimate",
     "build_gibbs_random_scan",
     "estimate_zeta",
-    "flip_tables",
     "kernel_distance",
     "kernel_power",
     "m_step_stat_rows",
@@ -47,7 +45,7 @@ class KernelMatrix:
 
 
 class _GibbsTables:
-    """Index tables of the single-site moves on {0,1}^p, built once per family.
+    """Single-site move tables on {0,1}^p and the move expression, built once per family.
 
     ``up[s, j]``/``down[s, j]`` are the states s with coordinate j set to
     1/0, and ``flip[s, j]`` the one of the two that is not s.  The flat
@@ -55,19 +53,51 @@ class _GibbsTables:
     ``target`` is where the move lands, ``other`` the state that differs
     from it in coordinate j only, and ``scatter`` the flat position
     s * n_states + target of the move in the transition matrix.
-    ``probs(theta)`` is the family's kernel builder, bound to these tables
-    (see :func:`_bind_gibbs_probs`).
+
+    One expression, ``moves(theta, to, frm)``, gives the probability of
+    every move at a checked theta (see :func:`build_gibbs_random_scan`).
+    ``probs(theta)`` evaluates it at (target, other) and scatters the 2p
+    moves of every row: the family's kernel builder.  ``flips(theta)``
+    evaluates it at (flip, source state): K[s, flip[s, j]], shape (S, p) or
+    (G, S, p), every off-diagonal entry of the kernel bit for bit.  The
+    carrier, the statistic, the tables, numpy's functions and the constants
+    are bound once; a constant as a 0-d array costs numpy less than a Python
+    scalar and gives the same bits.  The closures hold no reference to
+    ``fam`` or to the tables object, so the weak table cache can still let a
+    family go.
     """
 
     def __init__(self, fam: FiniteExpFamily, up: np.ndarray, down: np.ndarray):
         n = up.shape[0]
+        size = n * n
         self.up = up
         self.down = down
-        self.flip = np.where(up == np.arange(n)[:, None], down, up)
-        self.target = np.stack([up, down], axis=2).reshape(-1)
-        self.other = np.stack([down, up], axis=2).reshape(-1)
-        self.scatter = np.repeat(np.arange(n) * n, 2 * up.shape[1]) + self.target
-        self.probs = _bind_gibbs_probs(fam, self.target, self.other, self.scatter)
+        self.flip = flip = np.where(up == np.arange(n)[:, None], down, up)
+        self.target = target = np.stack([up, down], axis=2).reshape(-1)
+        self.other = other = np.stack([down, up], axis=2).reshape(-1)
+        self.scatter = scatter = np.repeat(np.arange(n) * n, 2 * up.shape[1]) + target
+        source = np.arange(n)[:, None]
+        log_carrier, phi = fam.log_carrier, fam.suff_stats
+        p, zero, one = np.array(float(fam.n_coords)), np.array(0.0), np.array(1.0)
+        exp, minimum, absolute, bincount = np.exp, np.minimum, np.abs, np.bincount
+
+        def moves(theta: np.ndarray, to: np.ndarray, frm: np.ndarray) -> np.ndarray:
+            scores = log_carrier + (phi @ theta[..., None])[..., 0]
+            gap = scores.take(to, -1) - scores.take(frm, -1)
+            return exp(minimum(gap, zero)) / (one + exp(-absolute(gap))) / p
+
+        def probs(theta: np.ndarray) -> np.ndarray:
+            flat_moves = moves(theta, target, other)
+            if theta.ndim == 1:
+                return bincount(scatter, flat_moves, size).reshape(n, n)
+            g = len(theta)  # matrix k of the stack fills the flat positions from k * n * n on
+            flat = (np.arange(g)[:, None] * size + scatter).reshape(-1)
+            return bincount(flat, flat_moves.reshape(-1), g * size).reshape(g, n, n)
+
+        def flips(theta: np.ndarray) -> np.ndarray:
+            return moves(theta, flip, source)
+
+        self.probs, self.flips = probs, flips
 
 
 _TABLE_CACHE: "weakref.WeakKeyDictionary[FiniteExpFamily, _GibbsTables]" = (
@@ -96,16 +126,6 @@ def _gibbs_tables(fam: FiniteExpFamily) -> _GibbsTables:
     return tables
 
 
-def flip_tables(fam: FiniteExpFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables (up, down) with up[s, j] the state s with coordinate j set to 1.
-
-    Requires the state space to be the full binary product {0,1}^p; anything
-    else cannot be resampled coordinate-wise and raises ValueError.
-    """
-    tables = _gibbs_tables(fam)
-    return tables.up, tables.down
-
-
 def build_gibbs_random_scan(fam: FiniteExpFamily, theta) -> KernelMatrix:
     """One step of random-scan Gibbs at theta, or at each theta of a stack (G, d).
 
@@ -120,59 +140,7 @@ def build_gibbs_random_scan(fam: FiniteExpFamily, theta) -> KernelMatrix:
     when it is built alone.
     """
     theta = _check_theta(fam, theta)
-    return KernelMatrix(theta=theta, probs=_gibbs_probs(fam, theta))
-
-
-def _move_probs(fam: FiniteExpFamily, gap: np.ndarray) -> np.ndarray:
-    """sigmoid(gap) / p, the probability of a single-site move with score gap ``gap``."""
-    return np.exp(np.minimum(gap, 0.0)) / (1.0 + np.exp(-np.abs(gap))) / fam.n_coords
-
-
-def _bind_gibbs_probs(
-    fam: FiniteExpFamily, target: np.ndarray, other: np.ndarray, scatter: np.ndarray
-):
-    """``probs(theta)``: the kernel of :func:`build_gibbs_random_scan` at a checked theta.
-
-    It makes the operations of ``model._scores`` and :func:`_move_probs`,
-    then scatters the 2p moves of every row, so it gives their bits.  The
-    carrier, the statistic, the move tables, numpy's functions and the
-    constants are bound once per family; a constant as a 0-d array costs
-    numpy less than a Python scalar and gives the same bits.  The builder
-    holds no reference to ``fam``, so the weak table cache can still let a
-    family go.
-    """
-    log_carrier, phi = fam.log_carrier, fam.suff_stats
-    n = fam.n_states
-    size = n * n
-    p, zero, one = np.array(float(fam.n_coords)), np.array(0.0), np.array(1.0)
-    exp, minimum, absolute, bincount = np.exp, np.minimum, np.abs, np.bincount
-
-    def probs(theta: np.ndarray) -> np.ndarray:
-        scores = log_carrier + (phi @ theta[..., None])[..., 0]
-        gap = scores.take(target, -1) - scores.take(other, -1)
-        moves = exp(minimum(gap, zero)) / (one + exp(-absolute(gap))) / p
-        if theta.ndim == 1:
-            return bincount(scatter, moves, size).reshape(n, n)
-        g = len(theta)  # matrix k of the stack fills the flat positions from k * n * n on
-        flat = (np.arange(g)[:, None] * size + scatter).reshape(-1)
-        return bincount(flat, moves.reshape(-1), g * size).reshape(g, n, n)
-
-    return probs
-
-
-def _gibbs_probs(fam: FiniteExpFamily, theta: np.ndarray) -> np.ndarray:
-    """Transition matrix of :func:`build_gibbs_random_scan` at an already checked theta."""
-    return _gibbs_tables(fam).probs(theta)
-
-
-def _flip_probs(fam: FiniteExpFamily, tables: _GibbsTables, theta: np.ndarray) -> np.ndarray:
-    """K[s, flip[s, j]] of the kernel at a checked theta, shape (S, p) or (G, S, p).
-
-    These are every off-diagonal entry of the kernel, bit for bit: each is
-    one move, evaluated by the same expression as in :func:`_gibbs_probs`.
-    """
-    scores = _scores(fam, theta)
-    return _move_probs(fam, scores.take(tables.flip, axis=-1) - scores[..., None])
+    return KernelMatrix(theta=theta, probs=_gibbs_tables(fam).probs(theta))
 
 
 def _row_distances(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -298,11 +266,11 @@ def estimate_zeta(fam: FiniteExpFamily, thetas, pairs=None) -> ZetaEstimate:
     if pairs is None:
         pairs = np.stack([np.arange(len(thetas) - 1), np.arange(1, len(thetas))], axis=1)
     pairs = np.asarray(pairs, dtype=np.int64)
-    tables = _gibbs_tables(fam)
+    flip_probs = _gibbs_tables(fam).flips
     width = fam.n_states * fam.n_coords
     flips = np.empty((len(thetas), fam.n_states, fam.n_coords))
     for block in _blocks(len(thetas), width):
-        flips[block] = _flip_probs(fam, tables, thetas[block])
+        flips[block] = flip_probs(thetas[block])
     zeta, n_pairs = _max_difference_quotient(
         thetas, pairs, lambda a, b: _row_distances(flips[a], flips[b]), width
     )

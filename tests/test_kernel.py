@@ -12,14 +12,11 @@ from _bruteforce import zeta_per_pair
 from cdanneal import kernel
 from cdanneal.kernel import (
     KernelMatrix,
-    _flip_probs,
     _gibbs_tables,
     _matrix_power,
-    _move_probs,
     _row_distances,
     build_gibbs_random_scan,
     estimate_zeta,
-    flip_tables,
     kernel_distance,
     kernel_power,
     m_step_stat_rows,
@@ -43,7 +40,8 @@ RNG = np.random.default_rng(42)
 def _per_site_kernel(fam, theta):
     """Reference construction: masked logistic, then one np.add.at per coordinate."""
     theta = np.asarray(theta, dtype=float)
-    up, down = flip_tables(fam)
+    tables = _gibbs_tables(fam)
+    up, down = tables.up, tables.down
     scores = fam.log_carrier + fam.suff_stats @ theta
     gap = scores[up] - scores[down]
     p1 = np.empty_like(gap)
@@ -150,7 +148,8 @@ FLIP_FAMILIES = {f"fvbm{p}": build_fvbm(p) for p in (1, 2, 3, 5)} | {"carrier": 
 def _flip_case(name, seed):
     """A family of FLIP_FAMILIES, its flip table and points with |theta| up to 30."""
     fam = FLIP_FAMILIES[name]
-    up, down = flip_tables(fam)
+    tables = _gibbs_tables(fam)
+    up, down = tables.up, tables.down
     flip = np.where(up == np.arange(fam.n_states)[:, None], down, up)
     rng = np.random.default_rng(seed)
     thetas = np.concatenate(
@@ -168,12 +167,12 @@ class TestFlipProbabilities:
     def test_equal_the_kernel_off_diagonal(self, name):
         fam, flip, thetas = _flip_case(name, 300)
         rows = np.arange(fam.n_states)[:, None]
-        stack = _flip_probs(fam, _gibbs_tables(fam), thetas)
+        stack = _gibbs_tables(fam).flips(thetas)
         assert stack.shape == (len(thetas), fam.n_states, fam.n_coords)
         for theta, flips in zip(thetas, stack):
             probs = build_gibbs_random_scan(fam, theta).probs
             np.testing.assert_array_equal(flips, probs[rows, flip])
-            np.testing.assert_array_equal(flips, _flip_probs(fam, _gibbs_tables(fam), theta))
+            np.testing.assert_array_equal(flips, _gibbs_tables(fam).flips(theta))
             # no other off-diagonal entry: each row is its flips and the diagonal
             probs[rows, flip] = 0.0
             np.fill_diagonal(probs, 0.0)
@@ -185,14 +184,19 @@ class TestFlipProbabilities:
         rng = np.random.default_rng(500)
         a = np.concatenate([rng.uniform(-3, 3, size=(30, fam.dim)), thetas])
         b = np.concatenate([rng.uniform(-3, 3, size=(30, fam.dim)), thetas[::-1]])
-        tables = _gibbs_tables(fam)
-        got = _row_distances(_flip_probs(fam, tables, a), _flip_probs(fam, tables, b)).max(axis=-1)
+        flips = _gibbs_tables(fam).flips
+        got = _row_distances(flips(a), flips(b)).max(axis=-1)
         want = kernel_distance(build_gibbs_random_scan(fam, a), build_gibbs_random_scan(fam, b))
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
+def _move_probs(fam, gap):
+    """sigmoid(gap) / p as 0.14.0 wrote it: a move's probability, with its own sigmoid."""
+    return np.exp(np.minimum(gap, 0.0)) / (1.0 + np.exp(-np.abs(gap))) / fam.n_coords
+
+
 def _scatter_kernel(fam, theta):
-    """The kernel expression of 0.14.0: the package's scores and move probabilities, one scatter."""
+    """The kernel of 0.14.0: the package's scores, the move probabilities above, one scatter."""
     tables = _gibbs_tables(fam)
     n = fam.n_states
     scores = _scores(fam, theta)
@@ -226,9 +230,11 @@ class TestBoundBuilder:
             np.testing.assert_array_equal(build(theta), _scatter_kernel(fam, theta))
 
     def test_table_cache_lets_a_family_go(self):
-        # the bound builder holds the family's arrays, never the family
+        # the tables and their bound moves hold the family's arrays, never the family
         fam = build_fvbm(2)
-        assert _gibbs_tables(fam).probs(np.zeros(fam.dim)).shape == (4, 4)
+        tables = _gibbs_tables(fam)
+        assert tables.probs(np.zeros(fam.dim)).shape == (4, 4)
+        assert tables.flips(np.zeros(fam.dim)).shape == (4, 2)
         gone = weakref.ref(fam)
         del fam
         gc.collect()
@@ -417,7 +423,7 @@ class TestZetaEstimate:
         def refuse(*args):
             raise AssertionError("estimate_zeta built a kernel")
 
-        monkeypatch.setattr(kernel, "_gibbs_probs", refuse)
+        monkeypatch.setattr(_gibbs_tables(fvbm2), "probs", refuse)
         assert estimate_zeta(fvbm2, box3.grid(5), lattice_neighbor_pairs(5, 3)).zeta > 0
 
 
