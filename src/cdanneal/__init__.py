@@ -2,7 +2,7 @@
 families, plus exact enumeration-based convergence diagnostics."""
 
 # Bound before the submodules load: ``harness`` records it in config.json.
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 from .config import ConfigError, RunConfig, default_config
 from .diagnostics import (
@@ -16,15 +16,7 @@ from .diagnostics import (
     rate_fit,
 )
 from .harness import diagnose_run, rate_sweep, run_experiment, verify_assumptions
-from .kernel import (
-    KernelMatrix,
-    build_gibbs_random_scan,
-    estimate_zeta,
-    kernel_distance,
-    kernel_power,
-    m_step_stat_rows,
-    spectral_gap,
-)
+from .kernel import estimate_zeta, m_step_stat_rows, spectral_gap
 from .learner import (
     Schedule,
     Trajectory,

@@ -74,7 +74,7 @@ def cd_conditional_moments(fam: FiniteExpFamily, theta, data, m: int):
     """
     counts = _data_counts(fam, data)
     n = int(counts.sum())
-    km = kernel_power(build_gibbs_random_scan(fam, theta), m).probs
+    km = kernel_power(build_gibbs_random_scan(fam, theta), m)
     rows, sq_rows = km @ fam.suff_stats, km @ fam.suff_stats**2
     per_state_var = np.sum(sq_rows, axis=-1) - np.sum(rows**2, axis=-1)
     # Both reductions over states run per point (a dot, a vector-matrix
@@ -281,7 +281,12 @@ class MartingaleReport:
     bound_analytic: float
 
     def tail_ratio(self, which: str = "out") -> float:
-        """Max normalized partial sum over the trailing window (limit surrogate)."""
+        """Max normalized partial sum over the trailing window (limit surrogate).
+
+        ``which`` is ``"out"`` (outside the ball) or ``"in"`` (inside it).
+        """
+        if which not in ("out", "in"):
+            raise ValueError(f"which must be 'out' or 'in', got {which!r}")
         sums = self.partial_sum_out if which == "out" else self.partial_sum_in
         start = _tail_start(len(sums))
         return float(np.max(sums[start:] / self.rate_sums[start:]))

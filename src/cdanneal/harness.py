@@ -173,8 +173,9 @@ def _prepare_cells(config: RunConfig, master_seed: int) -> tuple[list[CellTask],
     The data are drawn and their MLE fitted once per (n, replicate).  Then
     one ``check_samples`` sweep of the grid per m, in ascending m, checks
     every sample that has an MLE and gives the bias norms that
-    ``bias_bound_grid`` scores where the bias check runs.  A cell whose
-    sample has no MLE gets no checks.
+    ``bias_bound_grid`` scores where the bias check runs.  Where it does
+    not, the task drops the norms, so no worker is sent G floats it never
+    reads.  A cell whose sample has no MLE gets no checks.
     """
     fam = config.build_family()
     box = config.build_box()
@@ -204,6 +205,8 @@ def _prepare_cells(config: RunConfig, master_seed: int) -> tuple[list[CellTask],
             )
             if _skip_reasons(task)["bias_bound"] is None:
                 task.bias = bias_bound_grid(task.constants, task.checks, grid)
+            elif task.checks is not None:
+                task.checks = replace(task.checks, bias_norms=None)
             tasks.append(task)
     tasks.sort(key=lambda task: (task.n, task.replicate, task.m))
     return tasks, constants

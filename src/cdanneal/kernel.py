@@ -3,7 +3,8 @@
 The sampler picks one coordinate uniformly at random and resamples it from
 its exact conditional, so the full transition matrix is available in closed
 form.  That makes stationarity, reversibility, mixing coefficients and
-kernel distances all checkable to machine precision.
+kernel distances all checkable to machine precision.  A kernel is a plain
+array: (S, S) at one parameter, (G, S, S) at a stack of G parameters.
 """
 
 from __future__ import annotations
@@ -23,25 +24,13 @@ from .model import (
 )
 
 __all__ = [
-    "KernelMatrix",
     "ZetaEstimate",
     "build_gibbs_random_scan",
     "estimate_zeta",
-    "kernel_distance",
     "kernel_power",
     "m_step_stat_rows",
-    "reversibility_violation",
     "spectral_gap",
-    "stationarity_violation",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class KernelMatrix:
-    """Row-stochastic transition matrix at a parameter, or (G, S, S) at a stack (G, d)."""
-
-    theta: np.ndarray
-    probs: np.ndarray
 
 
 class _GibbsTables:
@@ -126,8 +115,8 @@ def _gibbs_tables(fam: FiniteExpFamily) -> _GibbsTables:
     return tables
 
 
-def build_gibbs_random_scan(fam: FiniteExpFamily, theta) -> KernelMatrix:
-    """One step of random-scan Gibbs at theta, or at each theta of a stack (G, d).
+def build_gibbs_random_scan(fam: FiniteExpFamily, theta) -> np.ndarray:
+    """One step of random-scan Gibbs at theta (S, S), or at each theta of a stack (G, S, S).
 
     One step is the average of the p single-site kernels.  A move out of s
     that sets coordinate j to the value of state y has probability
@@ -139,17 +128,17 @@ def build_gibbs_random_scan(fam: FiniteExpFamily, theta) -> KernelMatrix:
     summed by one scatter; every matrix of a stack gets the same bits as
     when it is built alone.
     """
-    theta = _check_theta(fam, theta)
-    return KernelMatrix(theta=theta, probs=_gibbs_tables(fam).probs(theta))
+    return _gibbs_tables(fam).probs(_check_theta(fam, theta))
 
 
 def _row_distances(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Row-wise L1 norms of K1 - K2 from the flip probabilities (..., S, p) of two kernels.
 
     Row s of K1 - K2 holds dq[s, j] at the p flips of s and -sum_j dq[s, j]
-    on the diagonal, since both rows sum to 1.  Their max is
-    :func:`kernel_distance`.  The sums over j run as p adds of (..., S)
-    slices, much faster than numpy's reduction over a short last axis.
+    on the diagonal, since both rows sum to 1.  Their max is the kernel
+    distance max_x sum_y |K1(x, y) - K2(x, y)|.  The sums over j run as p
+    adds of (..., S) slices, much faster than numpy's reduction over a
+    short last axis.
     """
     dq = q1 - q2
     moved, stay = np.abs(dq[..., 0]), dq[..., 0].copy()
@@ -186,21 +175,10 @@ def _matrix_power(a: np.ndarray, m: int) -> np.ndarray:
     return result
 
 
-def kernel_power(kernel: KernelMatrix, m: int) -> KernelMatrix:
-    """Exact m-step transition matrix (of every matrix of a stack)."""
+def kernel_power(probs: np.ndarray, m: int) -> np.ndarray:
+    """Exact m-step transition matrix (of every matrix of a stack); m = 1 gives ``probs``."""
     _check_chain_length(m)
-    if m == 1:
-        return kernel
-    return KernelMatrix(theta=kernel.theta, probs=_matrix_power(kernel.probs, m))
-
-
-def stationarity_violation(fam: FiniteExpFamily, kernel: KernelMatrix) -> float:
-    pi = state_probs(fam, kernel.theta)[..., None, :]
-    return float(np.max(np.abs(pi @ kernel.probs - pi)))
-
-
-def reversibility_violation(fam: FiniteExpFamily, kernel: KernelMatrix) -> float:
-    return _reversibility_violation(state_probs(fam, kernel.theta), kernel.probs)
+    return _matrix_power(probs, m)
 
 
 def _reversibility_violation(pi: np.ndarray, probs: np.ndarray) -> float:
@@ -211,34 +189,25 @@ def _reversibility_violation(pi: np.ndarray, probs: np.ndarray) -> float:
 REVERSIBILITY_TOL = 1e-8
 
 
-def spectral_gap(fam: FiniteExpFamily, kernel: KernelMatrix):
-    """Second-largest absolute eigenvalue of the kernel on L2(pi).
+def spectral_gap(fam: FiniteExpFamily, theta, probs: np.ndarray):
+    """Second-largest absolute eigenvalue on L2(pi) of the kernel ``probs`` at ``theta``.
 
     Computed from the symmetrized matrix D^{1/2} K D^{-1/2} with D the
-    stationary distribution; that route is only valid for reversible
-    kernels, so detailed balance is verified first (to ``REVERSIBILITY_TOL``).
-    A float for one kernel, an array of shape (G,) for a stack.
+    stationary distribution at theta; that route is only valid for
+    reversible kernels, so detailed balance is verified first (to
+    ``REVERSIBILITY_TOL``).  A float for one kernel (S, S) at a point, an
+    array of shape (G,) for a stack (G, S, S) at a stack (G, d).
     """
-    pi = state_probs(fam, kernel.theta)
-    if _reversibility_violation(pi, kernel.probs) > REVERSIBILITY_TOL:
+    pi = state_probs(fam, theta)
+    if probs.shape != pi.shape + pi.shape[-1:]:
+        raise ValueError("probs must hold one (S, S) kernel per parameter point")
+    if _reversibility_violation(pi, probs) > REVERSIBILITY_TOL:
         raise ValueError("kernel is not reversible; symmetric eigensolve is invalid")
     root = np.sqrt(pi)
-    sym = (root[..., :, None] / root[..., None, :]) * kernel.probs
+    sym = (root[..., :, None] / root[..., None, :]) * probs
     sym = 0.5 * (sym + np.swapaxes(sym, -1, -2))
     mags = np.sort(np.abs(np.linalg.eigvalsh(sym)), axis=-1)
     return _per_point(mags[..., -2])
-
-
-def kernel_distance(k1: KernelMatrix, k2: KernelMatrix):
-    """Worst-case one-step disagreement, max_x sum_y |K1(x,y) - K2(x,y)|.
-
-    The supremum over test functions bounded by 1 is attained by the sign
-    pattern of the row difference, which reduces it to a row-wise L1 norm.
-    A float for two kernels, an array of shape (G,) for two stacks.
-    """
-    if k1.probs.shape != k2.probs.shape:
-        raise ValueError("kernels act on different state spaces")
-    return _per_point(np.max(np.sum(np.abs(k1.probs - k2.probs), axis=-1), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -249,12 +218,11 @@ class ZetaEstimate:
     n_pairs: int
 
 
-def estimate_zeta(fam: FiniteExpFamily, thetas, pairs=None) -> ZetaEstimate:
+def estimate_zeta(fam: FiniteExpFamily, thetas, pairs) -> ZetaEstimate:
     """Max difference quotient of kernel distance over parameter pairs.
 
-    ``thetas`` is an array of parameter points; ``pairs`` an optional index
-    array of point pairs (consecutive points when omitted).  Coincident
-    pairs are skipped.  The estimate is a lower bound that stabilizes under
+    ``thetas`` is an array of parameter points, ``pairs`` an index array of
+    point pairs (K, 2).  Coincident pairs are skipped.  The estimate is a lower bound that stabilizes under
     grid refinement.  No kernel is built: the S * p flip probabilities of
     each point (its kernel's off-diagonal entries) are evaluated once, in
     blocks of at most 2^14 entries, and kept for the whole sweep; each
@@ -263,8 +231,6 @@ def estimate_zeta(fam: FiniteExpFamily, thetas, pairs=None) -> ZetaEstimate:
     thetas = _check_theta(fam, np.atleast_2d(np.asarray(thetas, dtype=float)))
     if len(thetas) < 2:
         raise ValueError("need at least two parameter points")
-    if pairs is None:
-        pairs = np.stack([np.arange(len(thetas) - 1), np.arange(1, len(thetas))], axis=1)
     pairs = np.asarray(pairs, dtype=np.int64)
     flip_probs = _gibbs_tables(fam).flips
     width = fam.n_states * fam.n_coords
@@ -286,5 +252,5 @@ def m_step_stat_rows(fam: FiniteExpFamily, theta, m: int) -> np.ndarray:
     out of x, i.e. (K^m @ suff_stats)[x]; shape (S, d), or (G, S, d) for a
     stack of G parameters.
     """
-    return kernel_power(build_gibbs_random_scan(fam, theta), m).probs @ fam.suff_stats
+    return kernel_power(build_gibbs_random_scan(fam, theta), m) @ fam.suff_stats
 

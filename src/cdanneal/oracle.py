@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .kernel import (
+    _check_chain_length,
     build_gibbs_random_scan,
     estimate_zeta,
     m_step_stat_rows,
@@ -266,14 +267,15 @@ class SampleChecks:
     """Both sample-quality constraints plus the MLE they share.
 
     ``bias_norms`` is the exact CD-m gradient bias at each point of the
-    grid the empirical check swept (see :func:`_grid_pass`).
+    grid the empirical check swept (see :func:`_grid_pass`), or None in a
+    run's cell task whose bias check does not run.
     """
 
     mle: MleResult
     mle_check: ConstraintCheck
     empirical_check: ConstraintCheck
     m: int
-    bias_norms: np.ndarray
+    bias_norms: np.ndarray | None
 
     @property
     def passed(self) -> bool:
@@ -439,7 +441,7 @@ def compute_grid_bounds(
     lipschitz, _ = _max_difference_quotient(
         grid, pairs, lambda a, b: np.abs(fvals[a] - fvals[b]), box.dim
     )
-    gaps = _in_blocks(fam, grid, lambda t: spectral_gap(fam, build_gibbs_random_scan(fam, t)))
+    gaps = _in_blocks(fam, grid, lambda t: spectral_gap(fam, t, build_gibbs_random_scan(fam, t)))
     zeta = estimate_zeta(fam, grid, pairs).zeta
     return GridBounds(
         min_fisher_eig=float(np.min(eigs)),
@@ -454,10 +456,15 @@ def compute_grid_bounds(
 def assemble_constants(
     fam: FiniteExpFamily, box: ParamBox, bounds: GridBounds, m: int, n: int, gamma: float
 ) -> TheoryConstants:
-    """Combine grid bounds with (m, n, gamma) into the full constant set."""
+    """Combine grid bounds with (m, n, gamma) into the full constant set.
+
+    m and n must be integers >= 1 (bools refused): a float would enter the
+    coefficients as given and be recorded truncated.
+    """
     _validate_gamma(gamma)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_chain_length(m)
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValueError("n must be an integer >= 1")
     bias_coeff = math.sqrt(fam.dim) * fam.stat_bound * bounds.divergence_lipschitz * (
         bounds.mixing_bound**m
     )

@@ -6,7 +6,9 @@ all chains and steps, computing each path's probability from raw state
 weights.  It is deliberately independent of the package's kernel-matrix
 and moment machinery so it can vouch for them.  The CD step reference
 uses only the public, validating kernel and RNG entries, so it can vouch
-for the learner's per-run sampler.
+for the learner's per-run sampler.  The kernel checks (distance,
+stationarity, detailed balance) read a kernel as the plain (S, S) array
+the package builds, or a (G, S, S) stack of them.
 """
 
 import itertools
@@ -105,7 +107,7 @@ def grid_bounds_per_point(fam, box, theta_star, per_axis):
         min_eig = min(min_eig, np.linalg.eigvalsh(0.5 * (cov + cov.T))[0])
         exponent = log_z(theta) + log_z(2.0 * theta_star - theta) - 2.0 * log_z(theta_star)
         fvals.append(math.sqrt(max(math.expm1(exponent), 0.0)))
-        kernel = build_gibbs_random_scan(fam, theta).probs
+        kernel = build_gibbs_random_scan(fam, theta)
         kernels.append(kernel)
         root = np.sqrt(pi)
         sym = root[:, None] * kernel / root[None, :]
@@ -125,13 +127,45 @@ def grid_bounds_per_point(fam, box, theta_star, per_axis):
     }
 
 
+def _stationary_law(fam, theta):
+    """State probabilities at one theta from the raw weights exp(log carrier + phi @ theta)."""
+    scores = fam.log_carrier + fam.suff_stats @ np.asarray(theta, dtype=float)
+    weights = np.exp(scores - scores.max())
+    return weights / weights.sum()
+
+
+def stationarity_violation(fam, theta, probs):
+    """max_y |(pi K)(y) - pi(y)| for the kernel ``probs`` (S, S) at one theta."""
+    pi = _stationary_law(fam, theta)
+    return float(np.max(np.abs(pi @ probs - pi)))
+
+
+def reversibility_violation(fam, theta, probs):
+    """max_{x,y} |pi(x) K(x, y) - pi(y) K(y, x)| for the kernel ``probs`` (S, S) at one theta."""
+    flow = _stationary_law(fam, theta)[:, None] * probs
+    return float(np.max(np.abs(flow - flow.T)))
+
+
+def kernel_distance(k1, k2):
+    """Worst-case one-step disagreement, max_x sum_y |K1(x,y) - K2(x,y)|.
+
+    The supremum over test functions bounded by 1 is attained by the sign
+    pattern of the row difference, which reduces it to a row-wise L1 norm.
+    A float for two kernels (S, S), an array (G,) for two stacks (G, S, S).
+    """
+    if k1.shape != k2.shape:
+        raise ValueError("kernels act on different state spaces")
+    dist = np.max(np.sum(np.abs(k1 - k2), axis=-1), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
+
+
 def zeta_per_pair(fam, thetas, pairs):
     """``estimate_zeta(fam, thetas, pairs)`` from one ``kernel_distance`` per pair.
 
     Each point's kernel is built alone by ``build_gibbs_random_scan``;
     pairs less than 1e-12 apart are skipped.  Returns (zeta, pairs used).
     """
-    from cdanneal.kernel import build_gibbs_random_scan, kernel_distance
+    from cdanneal.kernel import build_gibbs_random_scan
 
     kernels = [build_gibbs_random_scan(fam, theta) for theta in thetas]
     zeta, used = 0.0, 0
@@ -152,7 +186,7 @@ def cd_endpoints(fam, theta, start, m, rng):
     """
     from cdanneal.kernel import build_gibbs_random_scan
 
-    km = np.linalg.matrix_power(build_gibbs_random_scan(fam, theta).probs, m)
+    km = np.linalg.matrix_power(build_gibbs_random_scan(fam, theta), m)
     occupied = np.flatnonzero(start)
     return rng.multinomial(start[occupied], km[occupied]).sum(axis=0)
 

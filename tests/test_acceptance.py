@@ -23,12 +23,7 @@ from cdanneal.diagnostics import (
     occupancy_report,
     rate_fit,
 )
-from cdanneal.kernel import (
-    build_gibbs_random_scan,
-    reversibility_violation,
-    spectral_gap,
-    stationarity_violation,
-)
+from cdanneal.kernel import build_gibbs_random_scan, spectral_gap
 from cdanneal.learner import Schedule, delta_n, run_cd
 from cdanneal.model import ParamBox
 from cdanneal.oracle import (
@@ -41,7 +36,12 @@ from cdanneal.oracle import (
     mle,
     sample_iid,
 )
-from _bruteforce import enumerate_cd_moments, items_of
+from _bruteforce import (
+    enumerate_cd_moments,
+    items_of,
+    reversibility_violation,
+    stationarity_violation,
+)
 
 GAMMA = 0.45
 SMALL_HALF_WIDTH = 1.25
@@ -136,10 +136,10 @@ class TestCriterion02Kernel:
             kernel = build_gibbs_random_scan(fvbm2, theta)
             worst = max(
                 worst,
-                stationarity_violation(fvbm2, kernel),
-                reversibility_violation(fvbm2, kernel),
+                stationarity_violation(fvbm2, theta, kernel),
+                reversibility_violation(fvbm2, theta, kernel),
             )
-        alpha0 = spectral_gap(fvbm2, build_gibbs_random_scan(fvbm2, np.zeros(3)))
+        alpha0 = spectral_gap(fvbm2, np.zeros(3), build_gibbs_random_scan(fvbm2, np.zeros(3)))
         ok = worst < 1e-12 and abs(alpha0 - 0.5) <= 1e-10
         _report(2, ok, f"worst violation {worst:.3e}, alpha(0) - 1/2 = {alpha0 - 0.5:.2e}")
 

@@ -430,6 +430,16 @@ class TestMartingales:
         reconstructed = np.diff(h2) + etas * drift_out - 4 * 3 * etas**2
         np.testing.assert_allclose(report.increment_out, reconstructed, atol=1e-12)
 
+    @pytest.mark.parametrize("which", ["inside", "outside", "OUT", "", "in "])
+    def test_tail_ratio_refuses_an_unknown_side(self, fvbm2, small_box, admissible_setup, which):
+        m, data, consts, checks = admissible_setup
+        traj = run_cd(fvbm2, small_box, Schedule("harmonic", 1.0), data, m=m, steps=20,
+                      master_seed=30, replicate=0)
+        mart = martingale_report(fvbm2, small_box, traj, data, consts, checks)
+        assert mart.tail_ratio() == mart.tail_ratio("out")
+        with pytest.raises(ValueError, match="'out' or 'in'"):
+            mart.tail_ratio(which)
+
     def test_frozen_step_inside_increment_is_negative(self, fvbm2, small_box, admissible_setup):
         m, data, consts, checks = admissible_setup
         # force a frozen first step by starting on the box boundary

@@ -516,6 +516,26 @@ class TestPrepareCells:
             sizes[n] = len(pickle.dumps(task))
         assert abs(sizes[1_000_000] - sizes[100]) <= 1024
 
+    def test_bias_norms_kept_only_where_the_bias_check_runs(self):
+        tasks, _ = harness._prepare_cells(small_config(**self.CONFIG), 0)
+        for task in tasks:
+            runs = harness._skip_reasons(task)["bias_bound"] is None
+            assert (task.checks.bias_norms is not None) == runs
+
+    def test_task_without_bias_check_pickles_without_bias_norms(self):
+        # CI's p=4 model on a grid of 2 per axis, G = 1024 points, exact step
+        # checks off: the task pickles to about 4.2 kB, where the G bias norms
+        # alone would add 8 kB
+        config = small_config(
+            model={"type": "fvbm", "p": 4},
+            theta_star=[0.5, 0.2, 1.0, 0.3, 0.1, 0.5, 0.2, 0.4, 0.3, 0.1],
+            half_width=1.25, grid_per_axis=2, n_values=[1000], m_values=[2], seeds=[0],
+            exact_step_checks=False,
+        )
+        (task,), _ = harness._prepare_cells(config, 0)
+        assert task.checks is not None and task.checks.bias_norms is None
+        assert len(pickle.dumps(task)) <= 5000
+
     def test_no_task_field_holds_a_grid_table(self):
         tasks, _ = harness._prepare_cells(small_config(**self.CONFIG), 0)
         names = {f.name for f in fields(harness.CellTask)}

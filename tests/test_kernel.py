@@ -8,21 +8,22 @@ import weakref
 import numpy as np
 import pytest
 
-from _bruteforce import zeta_per_pair
+from _bruteforce import (
+    kernel_distance,
+    reversibility_violation,
+    stationarity_violation,
+    zeta_per_pair,
+)
 from cdanneal import kernel
 from cdanneal.kernel import (
-    KernelMatrix,
     _gibbs_tables,
     _matrix_power,
     _row_distances,
     build_gibbs_random_scan,
     estimate_zeta,
-    kernel_distance,
     kernel_power,
     m_step_stat_rows,
-    reversibility_violation,
     spectral_gap,
-    stationarity_violation,
 )
 from cdanneal.model import (
     FiniteExpFamily,
@@ -70,7 +71,7 @@ class TestGibbsConstruction:
             30.0 * np.resize([1.0, -1.0], fam.dim),
         ]
         for theta in thetas:
-            probs = build_gibbs_random_scan(fam, theta).probs
+            probs = build_gibbs_random_scan(fam, theta)
             assert np.all(np.isfinite(probs))
             np.testing.assert_allclose(probs, _per_site_kernel(fam, theta), rtol=0, atol=1e-14)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-14)
@@ -86,35 +87,35 @@ class TestGibbsConstruction:
                 [np.full(fam.dim, 30.0), np.full(fam.dim, -30.0)],
             ]
         )
-        stack = build_gibbs_random_scan(fam, thetas).probs
+        stack = build_gibbs_random_scan(fam, thetas)
         assert stack.shape == (len(thetas), fam.n_states, fam.n_states)
         for theta, probs in zip(thetas, stack):
-            np.testing.assert_array_equal(probs, build_gibbs_random_scan(fam, theta).probs)
+            np.testing.assert_array_equal(probs, build_gibbs_random_scan(fam, theta))
 
     @pytest.mark.parametrize("theta", [30.0, -30.0])
     def test_small_tail_keeps_relative_precision(self, fvbm1, theta):
         # p = 1: K[0, 1] = sigmoid(theta) and K[1, 0] = sigmoid(-theta); one
         # of them is about 1e-13 and must still be right to the last digits.
-        probs = build_gibbs_random_scan(fvbm1, [theta]).probs
+        probs = build_gibbs_random_scan(fvbm1, [theta])
         tail = math.exp(-30.0) / (1.0 + math.exp(-30.0))
         small = probs[0, 1] if theta < 0 else probs[1, 0]
         assert small == pytest.approx(tail, rel=1e-14, abs=0.0)
 
     def test_uniform_row_from_origin(self, fvbm2):
         kernel = build_gibbs_random_scan(fvbm2, [0.0, 0.0, 0.0])
-        np.testing.assert_allclose(kernel.probs[0], [0.5, 0.25, 0.25, 0.0], atol=1e-15)
+        np.testing.assert_allclose(kernel[0], [0.5, 0.25, 0.25, 0.0], atol=1e-15)
 
     def test_rows_stochastic_and_reversible(self, fvbm2):
         for theta in RNG.uniform(-3, 3, size=(25, 3)):
             kernel = build_gibbs_random_scan(fvbm2, theta)
-            assert np.all(kernel.probs >= 0)
-            np.testing.assert_allclose(kernel.probs.sum(axis=1), 1.0, atol=1e-12)
-            assert stationarity_violation(fvbm2, kernel) < 1e-12
-            assert reversibility_violation(fvbm2, kernel) < 1e-12
+            assert np.all(kernel >= 0)
+            np.testing.assert_allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
+            assert stationarity_violation(fvbm2, theta, kernel) < 1e-12
+            assert reversibility_violation(fvbm2, theta, kernel) < 1e-12
 
     def test_saturated_couplings_absorb(self, fvbm2):
         kernel = build_gibbs_random_scan(fvbm2, [8.0, 8.0, 8.0])
-        assert kernel.probs[3, 3] > 1.0 - 1e-5
+        assert kernel[3, 3] > 1.0 - 1e-5
 
     def test_non_binary_states_rejected(self):
         fam = family_from_json({"states": [[0], [1], [2]], "phi": [[0.0], [1.0], [2.0]]})
@@ -170,7 +171,7 @@ class TestFlipProbabilities:
         stack = _gibbs_tables(fam).flips(thetas)
         assert stack.shape == (len(thetas), fam.n_states, fam.n_coords)
         for theta, flips in zip(thetas, stack):
-            probs = build_gibbs_random_scan(fam, theta).probs
+            probs = build_gibbs_random_scan(fam, theta)
             np.testing.assert_array_equal(flips, probs[rows, flip])
             np.testing.assert_array_equal(flips, _gibbs_tables(fam).flips(theta))
             # no other off-diagonal entry: each row is its flips and the diagonal
@@ -244,23 +245,23 @@ class TestBoundBuilder:
 class TestKernelPower:
     def test_power_one_is_identity(self, fvbm2):
         kernel = build_gibbs_random_scan(fvbm2, [0.3, -0.2, 0.5])
-        np.testing.assert_array_equal(kernel_power(kernel, 1).probs, kernel.probs)
+        np.testing.assert_array_equal(kernel_power(kernel, 1), kernel)
 
     def test_two_step_row(self, fvbm2):
         kernel = build_gibbs_random_scan(fvbm2, [0.0, 0.0, 0.0])
         np.testing.assert_allclose(
-            kernel_power(kernel, 2).probs[0], [0.375, 0.25, 0.25, 0.125], atol=1e-15
+            kernel_power(kernel, 2)[0], [0.375, 0.25, 0.25, 0.125], atol=1e-15
         )
 
     def test_stays_stochastic_and_stationary(self, fvbm2, theta_star):
         kernel = kernel_power(build_gibbs_random_scan(fvbm2, theta_star), 7)
-        np.testing.assert_allclose(kernel.probs.sum(axis=1), 1.0, atol=1e-10)
-        assert stationarity_violation(fvbm2, kernel) < 1e-10
+        np.testing.assert_allclose(kernel.sum(axis=1), 1.0, atol=1e-10)
+        assert stationarity_violation(fvbm2, theta_star, kernel) < 1e-10
 
     def test_large_power_reaches_stationarity(self, fvbm2, theta_star):
         kernel = kernel_power(build_gibbs_random_scan(fvbm2, theta_star), 200)
         pi = state_probs(fvbm2, theta_star)
-        tv = 0.5 * np.abs(kernel.probs - pi).sum(axis=1).max()
+        tv = 0.5 * np.abs(kernel - pi).sum(axis=1).max()
         assert tv < 1e-8
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -268,7 +269,7 @@ class TestKernelPower:
         # the same np.matmul products in numpy's order, alone and on a stack
         fam = build_fvbm(p)
         thetas = np.random.default_rng(700 + p).uniform(-3, 3, size=(5, fam.dim))
-        stack = build_gibbs_random_scan(fam, thetas).probs
+        stack = build_gibbs_random_scan(fam, thetas)
         for m in range(1, 65):
             np.testing.assert_array_equal(_matrix_power(stack, m), np.linalg.matrix_power(stack, m))
             np.testing.assert_array_equal(
@@ -285,15 +286,15 @@ class TestKernelPower:
 class TestSpectralGap:
     def test_uniform_two_site_value(self, fvbm2):
         kernel = build_gibbs_random_scan(fvbm2, [0.0, 0.0, 0.0])
-        assert spectral_gap(fvbm2, kernel) == pytest.approx(0.5, abs=1e-12)
+        assert spectral_gap(fvbm2, [0.0, 0.0, 0.0], kernel) == pytest.approx(0.5, abs=1e-12)
 
     def test_single_site_mixes_in_one_step(self, fvbm1):
         kernel = build_gibbs_random_scan(fvbm1, [0.0])
-        assert spectral_gap(fvbm1, kernel) == pytest.approx(0.0, abs=1e-12)
+        assert spectral_gap(fvbm1, [0.0], kernel) == pytest.approx(0.0, abs=1e-12)
 
     def test_strictly_below_one(self, fvbm2):
         for theta in RNG.uniform(-3, 3, size=(20, 3)):
-            assert spectral_gap(fvbm2, build_gibbs_random_scan(fvbm2, theta)) < 1.0
+            assert spectral_gap(fvbm2, theta, build_gibbs_random_scan(fvbm2, theta)) < 1.0
 
     def test_invariant_under_relabeling(self, fvbm2):
         perm = np.array([3, 1, 0, 2])
@@ -303,28 +304,34 @@ class TestSpectralGap:
             log_carrier=fvbm2.log_carrier[perm],
         )
         for theta in RNG.uniform(-2, 2, size=(10, 3)):
-            a = spectral_gap(fvbm2, build_gibbs_random_scan(fvbm2, theta))
-            b = spectral_gap(relabeled, build_gibbs_random_scan(relabeled, theta))
+            a = spectral_gap(fvbm2, theta, build_gibbs_random_scan(fvbm2, theta))
+            b = spectral_gap(relabeled, theta, build_gibbs_random_scan(relabeled, theta))
             assert a == pytest.approx(b, abs=1e-10)
 
     def test_power_multiplies_mixing(self, fvbm2, theta_star):
         kernel = build_gibbs_random_scan(fvbm2, theta_star)
-        alpha = spectral_gap(fvbm2, kernel)
+        alpha = spectral_gap(fvbm2, theta_star, kernel)
         for m in (2, 3, 5):
-            assert spectral_gap(fvbm2, kernel_power(kernel, m)) == pytest.approx(
+            assert spectral_gap(fvbm2, theta_star, kernel_power(kernel, m)) == pytest.approx(
                 alpha**m, abs=1e-8
             )
 
     def test_non_reversible_kernel_rejected(self, fvbm2):
         cycle = np.roll(np.eye(4), 1, axis=1)
-        fake = KernelMatrix(theta=np.zeros(3), probs=cycle)
         with pytest.raises(ValueError):
-            spectral_gap(fvbm2, fake)
+            spectral_gap(fvbm2, np.zeros(3), cycle)
+
+    def test_kernel_of_another_shape_rejected(self, fvbm2):
+        thetas = RNG.uniform(-3, 3, size=(4, 3))
+        stack = build_gibbs_random_scan(fvbm2, thetas)
+        for theta, probs in ((thetas[0], stack), (thetas, stack[0]), (thetas[:3], stack)):
+            with pytest.raises(ValueError):
+                spectral_gap(fvbm2, theta, probs)
 
     def test_stationary_law_computed_once(self, fvbm2, monkeypatch):
         thetas = RNG.uniform(-3, 3, size=(6, 3))
         kernels = build_gibbs_random_scan(fvbm2, thetas)
-        want = [spectral_gap(fvbm2, build_gibbs_random_scan(fvbm2, t)) for t in thetas]
+        want = [spectral_gap(fvbm2, t, build_gibbs_random_scan(fvbm2, t)) for t in thetas]
         calls = []
 
         def counted(fam, theta):
@@ -332,7 +339,7 @@ class TestSpectralGap:
             return state_probs(fam, theta)
 
         monkeypatch.setattr(kernel, "state_probs", counted)
-        np.testing.assert_array_equal(spectral_gap(fvbm2, kernels), want)
+        np.testing.assert_array_equal(spectral_gap(fvbm2, thetas, kernels), want)
         assert len(calls) == 1
 
     def test_grid_supremum_monotone_in_half_width(self, fvbm2):
@@ -340,7 +347,7 @@ class TestSpectralGap:
         for half_width in (1.0, 2.0, 3.0):
             grid = ParamBox(half_width, 3).grid(5)
             sups.append(
-                max(spectral_gap(fvbm2, build_gibbs_random_scan(fvbm2, t)) for t in grid)
+                max(spectral_gap(fvbm2, t, build_gibbs_random_scan(fvbm2, t)) for t in grid)
             )
         assert sups[0] <= sups[1] <= sups[2]
         assert sups[2] < 1.0
@@ -360,7 +367,7 @@ class TestKernelDistance:
         # maximize |sum_y f(y) (K1-K2)(x,y)| over all f in {-1,1}^4 and x
         k1 = build_gibbs_random_scan(fvbm2, [0.0, 0.0, 0.0])
         k2 = build_gibbs_random_scan(fvbm2, [0.1, 0.0, 0.0])
-        diff = k1.probs - k2.probs
+        diff = k1 - k2
         best = max(
             abs(float(diff[x] @ np.array(signs)))
             for x in range(4)
@@ -379,7 +386,7 @@ class TestZetaEstimate:
     def test_constant_family_has_zero_slope(self):
         # zero sufficient statistic: conditionals never depend on theta
         fam = family_from_json({"states": [[0], [1]], "phi": [[0.0], [0.0]]})
-        est = estimate_zeta(fam, np.array([[-1.0], [0.0], [1.0]]))
+        est = estimate_zeta(fam, np.array([[-1.0], [0.0], [1.0]]), [[0, 1], [1, 2]])
         assert est.zeta == 0.0
 
     def test_stable_under_grid_refinement(self, fvbm2, box3):
@@ -403,10 +410,11 @@ class TestZetaEstimate:
 
     def test_coincident_points_skipped(self, fvbm2):
         thetas = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
-        est = estimate_zeta(fvbm2, thetas)
+        consecutive = [[0, 1], [1, 2]]
+        est = estimate_zeta(fvbm2, thetas, consecutive)
         assert est.n_pairs == 1
         with pytest.raises(ValueError):
-            estimate_zeta(fvbm2, np.zeros((3, 3)))
+            estimate_zeta(fvbm2, np.zeros((3, 3)), consecutive)
 
 
     def test_fvbm4_grid_matches_per_pair_kernels(self):
@@ -431,7 +439,7 @@ class TestStatRows:
     def test_match_kernel_power_rows(self, fvbm2, theta_star):
         rows = m_step_stat_rows(fvbm2, theta_star, 3)
         kernel = kernel_power(build_gibbs_random_scan(fvbm2, theta_star), 3)
-        np.testing.assert_allclose(rows, kernel.probs @ fvbm2.suff_stats, atol=1e-15)
+        np.testing.assert_allclose(rows, kernel @ fvbm2.suff_stats, atol=1e-15)
 
     def test_converge_to_model_mean(self, fvbm2, theta_star):
         from cdanneal.model import mean_parameter

@@ -21,7 +21,13 @@ from cdanneal.learner import (
     run_exact_gradient,
     weighted_average_series,
 )
-from cdanneal.model import ParamBox, ParamBoxError, boundary_layer_contains, mean_parameter
+from cdanneal.model import (
+    ParamBox,
+    ParamBoxError,
+    boundary_layer_contains,
+    build_fvbm,
+    mean_parameter,
+)
 from cdanneal.oracle import mle, sample_iid
 
 from _bruteforce import cd_endpoints, cd_step, items_of
@@ -219,7 +225,7 @@ class TestCdEndpoints:
         start = np.array([3, 0, 2, 1])  # n = 6, one empty start state
         km = _enumerated_m_step_law(fvbm2, theta, m)
         np.testing.assert_allclose(
-            kernel_power(build_gibbs_random_scan(fvbm2, theta), m).probs, km, rtol=0, atol=1e-14
+            kernel_power(build_gibbs_random_scan(fvbm2, theta), m), km, rtol=0, atol=1e-14
         )
         mean = start @ km
         cov = sum(c * (np.diag(row) - np.outer(row, row)) for c, row in zip(start, km))
@@ -238,6 +244,26 @@ class TestCdEndpoints:
         products = centered[:, :, None] * centered[:, None, :]
         se_cov = products.std(axis=0, ddof=1) / math.sqrt(self.DRAWS)
         assert np.all(np.abs(products.mean(axis=0) - cov) <= self.Z * se_cov + 1e-12)
+
+
+class TestKernelPowerSpellings:
+    """The learner's bound builder and power give K^m with the public pair's bits."""
+
+    @pytest.mark.parametrize("m", [1, 2, 16, 80])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_learner_and_public_pair_agree(self, p, m):
+        fam = build_fvbm(p)
+        rng = np.random.default_rng(800 + 10 * p + m)
+        thetas = np.concatenate(
+            [rng.uniform(-3, 3, size=(12, fam.dim)), rng.choice([-30.0, 30.0], size=(4, fam.dim))]
+        )
+        bound = kernel._gibbs_tables(fam).probs
+        stack = kernel_power(build_gibbs_random_scan(fam, thetas), m)
+        np.testing.assert_array_equal(kernel._matrix_power(bound(thetas), m), stack)
+        for theta, public in zip(thetas, stack):
+            km = kernel._matrix_power(bound(theta), m)
+            np.testing.assert_array_equal(km, kernel_power(build_gibbs_random_scan(fam, theta), m))
+            np.testing.assert_array_equal(km, public)
 
 
 class TestCdStep:

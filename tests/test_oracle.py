@@ -253,7 +253,7 @@ class TestEmpiricalProcessConstraint:
         probs = state_probs(fvbm2, theta_star)
         worst = 0.0
         for theta in grid:
-            power = kernel_power(build_gibbs_random_scan(fvbm2, theta), m).probs
+            power = kernel_power(build_gibbs_random_scan(fvbm2, theta), m)
             emp = np.zeros(3)
             for x in items:
                 row_mean = np.zeros(3)
@@ -384,6 +384,21 @@ class TestConstants:
     def test_bad_gamma_rejected(self, fvbm2, box3, bounds, gamma):
         with pytest.raises(ValueError):
             assemble_constants(fvbm2, box3, bounds, 2, 100, gamma)
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [(2.5, 1000), (True, 1000), (np.float64(2.0), 1000), (0, 1000),
+         (2, 1000.7), (2, True), (2, 0), (2, "1000")],
+    )
+    def test_non_integer_m_or_n_rejected(self, fvbm2, box3, bounds, m, n):
+        # a float would enter the coefficients as given and be recorded truncated
+        with pytest.raises(ValueError):
+            assemble_constants(fvbm2, box3, bounds, m, n, 0.45)
+
+    def test_numpy_integer_m_and_n_accepted(self, fvbm2, box3, bounds):
+        consts = assemble_constants(fvbm2, box3, bounds, np.int64(2), np.int64(1000), 0.45)
+        assert consts.to_dict() == assemble_constants(fvbm2, box3, bounds, 2, 1000, 0.45).to_dict()
+        assert type(consts.m) is int and type(consts.n) is int
 
     def test_boundary_theta_star_rejected(self, fvbm2, box3):
         with pytest.raises(ValueError):
